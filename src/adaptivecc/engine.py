@@ -204,6 +204,8 @@ class Engine:
         with self._mutex:
             if txn.phase is not Phase.READING:
                 raise PhaseError(f"txn {txn.txn_id} cannot read in phase {txn.phase}")
+            if txn.waiting_on is not None:
+                raise PhaseError(f"txn {txn.txn_id} still waits on {txn.waiting_on}")
             if item_id in txn.read_set:
                 rec = txn.read_set[item_id]
                 return ReadOutcome(ReadStatus.DONE, rec.value, rec.version)
@@ -394,10 +396,8 @@ class Engine:
             self._emit(txn.txn_id, sg.COMMIT)
         else:
             self._emit(txn.txn_id, sg.ABORT, "", reason.value if reason else "")
-        if txn.waiting_on is not None:
-            self.locks.withdraw(txn.txn_id, txn.waiting_on)
-            txn.waiting_on = None
-            txn._pending_cb = None
+        txn.waiting_on = None  # release_all withdraws the queued request
+        txn._pending_cb = None
         snapshots = {i: self.locks.queue_len(i) for i in self.locks.held_by(txn.txn_id)}
         _, grants = self.locks.release_all(txn.txn_id)
         self.escrow.release_all(txn.txn_id)
@@ -420,12 +420,13 @@ class Engine:
 
     def _complete_grant(self, item_id: str, txn_id: int) -> None:
         txn = self._active.get(txn_id)
-        if txn is None or txn.phase is not Phase.READING or txn.waiting_on != item_id:
+        while txn is None or txn.phase is not Phase.READING or txn.waiting_on != item_id:
             # The waiter died between queueing and grant; pass the lock on.
             grant = self.locks.release(txn_id, item_id)
-            if grant is not None:
-                self._complete_grant(grant.item_id, grant.txn_id)
-            return
+            if grant is None:
+                return
+            txn_id = grant.txn_id
+            txn = self._active.get(txn_id)
         txn.waiting_on = None
         cb = txn._pending_cb
         txn._pending_cb = None

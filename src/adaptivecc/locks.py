@@ -6,6 +6,19 @@ unless queueing would close a cycle in the waits-for relation, in which
 case the request is refused and the caller is expected to abort the
 requester.  All mutations happen under one internal mutex, mirroring a
 dedicated graph-maintenance lane.
+
+A transaction waits on at most one item: a queued transaction is
+suspended until it is granted, withdrawn or drained.  Each waiter's
+waits-for edges therefore stay inside its item's holder and queue, and
+the only edge that leaves that set is the holder's own wait.  A new wait
+``T -> i`` closes a cycle iff ``T`` lies on the holder chain ``holder(i)
+-> holder(item that holder waits on) -> ...``, so the cycle test walks
+that chain, at O(chain) cost, instead of searching the whole graph.  A
+per-transaction wait index (txn -> the item it waits on) serves the walk
+and lets ``release_all`` withdraw from the one queue the transaction is
+in, instead of probing every queue; ``withdraw`` still removes from the
+middle of that queue in O(queue).  ``wfg_edges`` builds the full
+waits-for graph for diagnostics and tests only.
 """
 
 from __future__ import annotations
@@ -42,11 +55,12 @@ class Grant:
 
 
 class LockManager:
-    """Per-item exclusive lock table plus the waits-for graph over waiters."""
+    """Per-item exclusive lock table plus a per-transaction wait index."""
 
     def __init__(self) -> None:
         self._holders: dict[str, int] = {}
         self._queues: dict[str, deque[int]] = {}
+        self._waiting: dict[int, str] = {}  # txn -> the one item it waits on
         self._mutex = threading.RLock()
 
     # -- queries ---------------------------------------------------------
@@ -77,28 +91,39 @@ class LockManager:
         return edges
 
     def _would_deadlock(self, txn_id: int, item_id: str) -> bool:
-        # The new edges would run txn_id -> holder and every queued txn.
-        # A cycle appears iff one of those can already reach txn_id.
-        adjacency: dict[int, set[int]] = {}
-        for waiter, blocker in self.wfg_edges():
-            adjacency.setdefault(waiter, set()).add(blocker)
-        targets = [self._holders[item_id]] + list(self._queues.get(item_id, ()))
-        seen: set[int] = set()
-        stack = list(targets)
-        while stack:
-            node = stack.pop()
+        # Walk holder -> the item it waits on -> that item's holder ...
+        # The chain is finite because the waits-for graph stays acyclic.
+        own_wait = self._waiting.get(txn_id)
+        node = self._holders.get(item_id)
+        while node is not None:
             if node == txn_id:
                 return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adjacency.get(node, ()))
+            waits_on = self._waiting.get(node)
+            if waits_on is None:
+                return False
+            # A requester already queued (off-engine use only) is also
+            # reachable from everyone queued behind it on its own item.
+            if waits_on == own_wait and self._queued_ahead(txn_id, node, waits_on):
+                return True
+            node = self._holders.get(waits_on)
+        return False
+
+    def _queued_ahead(self, first: int, second: int, item_id: str) -> bool:
+        for waiter in self._queues[item_id]:
+            if waiter == first:
+                return True
+            if waiter == second:
+                return False
         return False
 
     # -- mutations -------------------------------------------------------
 
     def acquire(self, txn_id: int, item_id: str) -> AcquireStatus:
-        """Grant the lock, queue the request, or refuse a cycle-closing wait."""
+        """Grant the lock, queue the request, or refuse a cycle-closing wait.
+
+        A transaction waits on at most one item; queueing a transaction
+        that already waits elsewhere raises LockError (unless that wait
+        would deadlock, which is refused as usual)."""
         with self._mutex:
             holder = self._holders.get(item_id)
             if holder is None:
@@ -106,11 +131,18 @@ class LockManager:
                 return AcquireStatus.GRANTED
             if holder == txn_id:
                 return AcquireStatus.GRANTED  # re-entrant
-            if txn_id in self._queues.get(item_id, ()):
+            own_wait = self._waiting.get(txn_id)
+            if own_wait == item_id:
                 raise LockError(f"txn {txn_id} already queued on {item_id}")
             if self._would_deadlock(txn_id, item_id):
                 return AcquireStatus.DEADLOCK_REFUSED
+            if own_wait is not None:
+                raise LockError(
+                    f"txn {txn_id} already waits on {own_wait}; "
+                    "a transaction waits on at most one item"
+                )
             self._queues.setdefault(item_id, deque()).append(txn_id)
+            self._waiting[txn_id] = item_id
             return AcquireStatus.QUEUED
 
     def release(self, txn_id: int, item_id: str) -> Optional[Grant]:
@@ -127,22 +159,24 @@ class LockManager:
             next_holder = queue.popleft()
             if not queue:
                 self._queues.pop(item_id, None)
+            del self._waiting[next_holder]
             self._holders[item_id] = next_holder
             return Grant(item_id, next_holder, queue_len)
 
     def withdraw(self, txn_id: int, item_id: str) -> bool:
         """Remove a queued (not granted) request; its WFG edges vanish."""
         with self._mutex:
-            queue = self._queues.get(item_id)
-            if queue and txn_id in queue:
-                queue.remove(txn_id)
-                if not queue:
-                    self._queues.pop(item_id, None)
-                return True
-            return False
+            if self._waiting.get(txn_id) != item_id:
+                return False
+            del self._waiting[txn_id]
+            queue = self._queues[item_id]
+            queue.remove(txn_id)
+            if not queue:
+                del self._queues[item_id]
+            return True
 
     def release_all(self, txn_id: int) -> tuple[int, list[Grant]]:
-        """Termination path: drop every hold (canonical order) and queued
+        """Termination path: drop every hold (canonical order) and the queued
         request of the transaction. Returns (locks released, grants made)."""
         with self._mutex:
             grants: list[Grant] = []
@@ -152,8 +186,9 @@ class LockManager:
                 released += 1
                 if grant is not None:
                     grants.append(grant)
-            for item_id in sorted(self._queues):
-                self.withdraw(txn_id, item_id)
+            waits_on = self._waiting.get(txn_id)
+            if waits_on is not None:
+                self.withdraw(txn_id, waits_on)
             return released, grants
 
     def drain_queue(self, item_id: str) -> list[int]:
@@ -161,7 +196,11 @@ class LockManager:
         leaves class P); the current holder keeps its lock."""
         with self._mutex:
             queue = self._queues.pop(item_id, None)
-            return list(queue) if queue else []
+            if not queue:
+                return []
+            for waiter in queue:
+                del self._waiting[waiter]
+            return list(queue)
 
     def dump_lines(self) -> list[str]:
         """Diagnostic dump, one ``item,holder,queue...`` line per locked item."""

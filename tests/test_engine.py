@@ -12,6 +12,7 @@ from adaptivecc.engine import (
     ReadStatus,
     WriteIntent,
 )
+from adaptivecc.locks import AcquireStatus
 from adaptivecc.sg import build_serialization_graph, find_cycle
 from adaptivecc.store import CCClass, Constraint, Store
 
@@ -428,3 +429,29 @@ def test_submit_while_waiting_rejected():
         engine.submit_write_set(waiter, {})
     with pytest.raises(PhaseError):
         engine.disconnect(waiter)
+
+
+def test_read_while_waiting_rejected():
+    # A second read would give the waiter a second wait.
+    engine, _ = make_engine([("x", 0, CCClass.P), ("y", 0, CCClass.P)])
+    holder, waiter = engine.begin(), engine.begin()
+    engine.read(holder, "x")
+    assert engine.read(waiter, "x").status is ReadStatus.WAITING
+    with pytest.raises(PhaseError):
+        engine.read(waiter, "y")
+    with pytest.raises(PhaseError):
+        engine.read(waiter, "x")
+    assert waiter.waiting_on == "x"
+    assert engine.locks.holder("y") is None
+    assert engine.locks.queue("x") == (waiter.txn_id,)
+
+
+def test_abort_passes_lock_through_deep_queue_of_dead_waiters():
+    engine, _ = make_engine([("x", 0, CCClass.P)])
+    holder = engine.begin()
+    engine.read(holder, "x")
+    for fake_id in range(10_000, 13_000):  # never begun, so never active
+        assert engine.locks.acquire(fake_id, "x") is AcquireStatus.QUEUED
+    engine.abort(holder)
+    assert engine.locks.holder("x") is None
+    assert engine.locks.queue_len("x") == 0

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from adaptivecc.locks import AcquireStatus, LockError, LockManager
+from adaptivecc.locks import AcquireStatus, Grant, LockError, LockManager
 
 
 def wfg_has_cycle(edges):
@@ -172,3 +175,127 @@ def test_dump_lines_format():
     lm.acquire(2, "x")
     lm.acquire(3, "x")
     assert lm.dump_lines() == ["x,1,2,3"]
+
+
+# -- holder-chain walk against the full-graph oracle --------------------------
+
+
+def oracle_would_deadlock(lm, txn_id, item_id):
+    """Full-graph check: queueing txn_id on item_id adds edges from txn_id to
+    the holder and every queued txn; a cycle appears iff one of those can
+    already reach txn_id in the waits-for graph."""
+    adjacency = {}
+    for waiter, blocker in lm.wfg_edges():
+        adjacency.setdefault(waiter, set()).add(blocker)
+    stack = [lm.holder(item_id), *lm.queue(item_id)]
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if node == txn_id:
+            return True
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(adjacency.get(node, ()))
+    return False
+
+
+WALK_ITEMS = ("a", "b", "c", "d")
+
+
+def oracle_acquire(lm, txn_id, item_id):
+    """Expected acquire verdict, from the raw lock table only.  Where the
+    oracle would queue a txn that already waits elsewhere, the manager
+    refuses to create a second wait with LockError."""
+    holder = lm.holder(item_id)
+    if holder is None or holder == txn_id:
+        return AcquireStatus.GRANTED
+    if txn_id in lm.queue(item_id):
+        return LockError
+    if oracle_would_deadlock(lm, txn_id, item_id):
+        return AcquireStatus.DEADLOCK_REFUSED
+    if any(txn_id in lm.queue(i) for i in WALK_ITEMS):
+        return LockError
+    return AcquireStatus.QUEUED
+
+
+class LockWalkMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.lm = LockManager()
+
+    @rule(txn=st.integers(0, 7), item=st.sampled_from(WALK_ITEMS))
+    def acquire(self, txn, item):
+        expected = oracle_acquire(self.lm, txn, item)
+        try:
+            actual = self.lm.acquire(txn, item)
+        except LockError:
+            actual = LockError
+        assert actual == expected
+
+    @rule(item=st.sampled_from(WALK_ITEMS))
+    def release(self, item):
+        holder, queue = self.lm.holder(item), self.lm.queue(item)
+        if holder is None:
+            with pytest.raises(LockError):
+                self.lm.release(0, item)
+            return
+        grant = self.lm.release(holder, item)
+        if queue:
+            assert grant == Grant(item, queue[0], len(queue))
+        else:
+            assert grant is None
+
+    @rule(txn=st.integers(0, 7), item=st.sampled_from(WALK_ITEMS))
+    def withdraw(self, txn, item):
+        queued = txn in self.lm.queue(item)
+        assert self.lm.withdraw(txn, item) is queued
+
+    @rule(txn=st.integers(0, 7))
+    def release_all(self, txn):
+        held = [i for i in WALK_ITEMS if self.lm.holder(i) == txn]
+        released, _ = self.lm.release_all(txn)
+        assert released == len(held)
+        assert all(txn not in self.lm.queue(i) for i in WALK_ITEMS)
+
+    @rule(item=st.sampled_from(WALK_ITEMS))
+    def drain_queue(self, item):
+        queue = self.lm.queue(item)
+        assert self.lm.drain_queue(item) == list(queue)
+
+    @invariant()
+    def index_matches_table(self):
+        queues = {i: self.lm.queue(i) for i in WALK_ITEMS}
+        waiting = {t: i for i, q in queues.items() for t in q}
+        assert sum(map(len, queues.values())) == len(waiting)
+        assert all(self.lm.holder(i) is not None for i, q in queues.items() if q)
+        assert self.lm._waiting == waiting
+
+    @invariant()
+    def wfg_acyclic(self):
+        assert not wfg_has_cycle(self.lm.wfg_edges())
+
+
+TestLockWalkMachine = LockWalkMachine.TestCase
+TestLockWalkMachine.settings = settings(
+    max_examples=100, stateful_step_count=50, deadline=None, derandomize=True,
+    database=None,
+)
+
+
+def test_twenty_thousand_waiters_drain_in_fifo_order():
+    # Every acquire and release here is O(1); the full-graph check made
+    # building this queue cubic.
+    lm = LockManager()
+    lm.acquire(0, "x")
+    waiters = list(range(1, 20_001))
+    for txn in waiters:
+        assert lm.acquire(txn, "x") is AcquireStatus.QUEUED
+    holder, order = 0, []
+    while (grant := lm.release(holder, "x")) is not None:
+        assert grant.queue_len_at_release == len(waiters) - len(order)
+        holder = grant.txn_id
+        order.append(holder)
+    assert order == waiters
+    assert lm.dump_lines() == []
+    assert lm._waiting == {}
