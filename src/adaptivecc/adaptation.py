@@ -146,11 +146,6 @@ def cost_tradeoff(
     return ca, cp
 
 
-_CATEGORY_COMMIT = "commit"
-_CATEGORY_ABORT = "abort"
-_CATEGORY_RECLASS = "reclass"
-
-
 class Controller:
     """Feedback controller over all adaptable items of a store.
 
@@ -197,13 +192,11 @@ class Controller:
             state = self.states.get(item_id)
             if state is None:
                 continue  # statically pinned item
+            state.terminated += 1
             if record.outcome == "commit":
-                category = _CATEGORY_COMMIT
+                state.committed += 1
             elif record.abort_reason is AbortReason.RECLASSIFICATION:
-                category = _CATEGORY_RECLASS
-            else:
-                category = _CATEGORY_ABORT
-            self._record(state, category, now)
+                state.reclass_aborts += 1
             span = record.read_write_span_ms
             if span is not None and self.current_class(item_id) is CCClass.P:
                 self._observe_service_time(state, span)
@@ -214,14 +207,6 @@ class Controller:
                     state.committed, state.terminated, state.reclass_aborts, state.cr
                 )
                 self._step(item_id, state, now)
-
-    def _record(self, state: ItemState, category: str, now: float) -> None:
-        del now
-        state.terminated += 1
-        if category == _CATEGORY_COMMIT:
-            state.committed += 1
-        elif category == _CATEGORY_RECLASS:
-            state.reclass_aborts += 1
 
     def _observe_service_time(self, state: ItemState, span_ms: float) -> None:
         if state.st_samples == 0:

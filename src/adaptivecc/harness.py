@@ -104,10 +104,9 @@ def poisson_arrivals(lam: float, duration_ms: float, rng: random.Random) -> list
 # -- stores and templates ----------------------------------------------------
 
 
-def single_item_store(si_only: bool = False) -> Store:
+def single_item_store() -> Store:
     store = Store()
     store.create_item(HOT_ITEM, 0, CCClass.O)
-    del si_only  # the hot item is optimistic either way
     return store
 
 
@@ -131,7 +130,7 @@ def tpcc_store(si_only: bool = False) -> Store:
 def build_store(template: str, si_only: bool = False) -> Store:
     if template == TEMPLATE_TPCC_DECK:
         return tpcc_store(si_only)
-    return single_item_store(si_only)
+    return single_item_store()  # the hot item is optimistic either way
 
 
 def _deck_template(name: str, rng: random.Random) -> TxnTemplate:

@@ -1,9 +1,10 @@
 import io
+import re
 
 import pytest
 
 from adaptivecc.cli import build_run, main, parse_config
-from adaptivecc.sg import ScheduleEvent, write_trace_csv
+from adaptivecc.sg import ScheduleEvent, build_serialization_graph, read_trace_csv, write_trace_csv
 
 
 def test_parse_config_lines_and_comments():
@@ -128,6 +129,29 @@ def test_experiment_trace_feeds_sg_check(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 0
     assert main(["sg-check", "--trace", str(out_dir / "trace.csv")]) == 0
     assert "ACYCLIC" in capsys.readouterr().out
+
+
+def test_sg_check_prints_one_acyclic_line(tmp_path, capsys):
+    # bench/workloads.py parses exactly this line.
+    config = tmp_path / "exp.conf"
+    out_dir = tmp_path / "out"
+    config.write_text(
+        "lambda = 200\ntemplate = tpcc_deck\ngamma = 0.9\ndelta = 0.05\n"
+        f"seed = 5\nout_dir = {out_dir}\n"
+    )
+    assert main(["run", "--config", str(config)]) == 0
+    capsys.readouterr()
+    trace = out_dir / "trace.csv"
+    assert main(["sg-check", "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out
+    match = re.fullmatch(r"ACYCLIC \((\d+) committed txns, (\d+) edges\)\n", out)
+    assert match is not None, out
+    with open(trace, newline="") as fh:
+        events = read_trace_csv(fh)
+    commits = sum(1 for ev in events if ev.op == "c")
+    assert commits > 0
+    assert int(match.group(1)) == commits
+    assert int(match.group(2)) == len(build_serialization_graph(events).edges)
 
 
 def test_si_only_run_from_config(tmp_path, capsys):

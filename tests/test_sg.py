@@ -1,15 +1,24 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptivecc.sg import (
+    COMMIT,
+    READ,
+    WRITE,
+    Edge,
     MalformedHistoryError,
     ScheduleEvent,
+    SerializationGraph,
     build_serialization_graph,
     find_cycle,
     read_trace_csv,
     write_trace_csv,
 )
+from adaptivecc.store import CCClass
+from microworkload import run_micro_workload
 
 
 def ev(time, txn, op, item="", detail=""):
@@ -103,3 +112,142 @@ def test_trace_csv_roundtrip():
     write_trace_csv(events, buffer)
     buffer.seek(0)
     assert read_trace_csv(buffer) == events
+
+
+# -- the all-pairs conflict graph as a differential oracle -------------------
+
+
+def oracle_build_serialization_graph(events, classes=None):
+    """The conflict graph with an edge for every pair of conflicting
+    operations on an O/P item between committed transactions: O(ops^2)
+    edges, but obviously correct."""
+    events = list(events)
+    committed = {ev.txn_id for ev in events if ev.op == COMMIT}
+    graph = SerializationGraph(nodes=set(committed))
+    per_item = {}
+    for ev in events:
+        if ev.op not in (READ, WRITE) or ev.txn_id not in committed:
+            continue
+        cls = ev.item_class() or classes[ev.item]
+        if cls in (CCClass.O, CCClass.P):
+            per_item.setdefault(ev.item, []).append((ev.txn_id, ev.op))
+    for item, ops in per_item.items():
+        for i, (txn_a, op_a) in enumerate(ops):
+            for txn_b, op_b in ops[i + 1 :]:
+                if txn_a != txn_b and WRITE in (op_a, op_b):
+                    graph.edges.add(Edge(txn_a, txn_b, item, op_a + op_b))
+    return graph
+
+
+def reachability(graph):
+    """node -> every node reachable from it over one or more edges."""
+    adj = graph.adjacency()
+    reach = {}
+    for root in graph.nodes:
+        seen, stack = set(), list(adj[root])
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(adj[node])
+        reach[root] = seen
+    return reach
+
+
+def assert_same_verdicts(events, classes=None):
+    fast = build_serialization_graph(events, classes)
+    slow = oracle_build_serialization_graph(events, classes)
+    assert fast.nodes == slow.nodes
+    assert fast.edges <= slow.edges
+    assert reachability(fast) == reachability(slow)
+    cycle = find_cycle(fast)
+    assert (cycle is None) == (find_cycle(slow) is None)
+    if cycle is not None:
+        slow_pairs = {(e.src, e.dst) for e in slow.edges}
+        assert cycle[0] == cycle[-1]
+        assert all(pair in slow_pairs for pair in zip(cycle, cycle[1:]))
+    return fast
+
+
+@st.composite
+def histories(draw):
+    """Complete histories of up to 8 txns over up to 3 items.  Item ``x``
+    flips between O and P from event to event, as around a reclassification;
+    the others keep one drawn class.  Some reads and writes carry no class
+    annotation and take it from the returned ``classes`` map.  Each txn
+    commits or aborts after its last read or write; where the terminal
+    event falls does not change the graph."""
+    items = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    classes = {item: draw(st.sampled_from(list(CCClass))) for item in items}
+    classes["x"] = draw(st.sampled_from((CCClass.O, CCClass.P)))
+    n_txns = draw(st.integers(1, 8))
+    steps = draw(st.lists(
+        st.tuples(st.integers(1, n_txns), st.sampled_from("rw"), st.sampled_from(items)),
+        max_size=40,
+    ))
+    events = []
+    for time, (txn_id, op, item) in enumerate(steps):
+        cls = classes[item]
+        if item == "x":
+            cls = draw(st.sampled_from((CCClass.O, CCClass.P)))
+        detail = f"v{time}@{cls.value}" if draw(st.booleans()) else f"v{time}"
+        events.append(ScheduleEvent(time, txn_id, op, item, detail))
+    for txn_id in draw(st.permutations(range(1, n_txns + 1))):
+        if draw(st.integers(0, 3)):
+            events.append(ScheduleEvent(len(steps), txn_id, "c"))
+        else:
+            events.append(ScheduleEvent(len(steps), txn_id, "a", "", "validation"))
+    return events, classes
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(histories())
+def test_reduced_graph_keeps_the_conflict_closure(history):
+    events, classes = history
+    assert_same_verdicts(events, classes)
+
+
+@pytest.mark.parametrize("allow_reclass", [False, True])
+def test_reduced_graph_matches_oracle_on_micro_workloads(allow_reclass):
+    for seed in range(200):
+        engine = run_micro_workload(seed, allow_reclass=allow_reclass)
+        assert find_cycle(assert_same_verdicts(engine.trace)) is None, f"seed {seed}"
+
+
+def test_edges_stay_linear_in_operations_on_one_hot_item():
+    # 20 000 committed txns: updaters read then write ``hot``, and a
+    # read-only txn reads it between each two writes.  The all-pairs graph
+    # of this history has ~2.5e8 edges.
+    events = []
+    for version in range(10_000):
+        updater, reader = 2 * version + 1, 2 * version + 2
+        events += [
+            ev(updater, updater, "r", "hot", f"v{version}@O"),
+            ev(updater, updater, "w", "hot", f"v{version + 1}@O"),
+            ev(updater, updater, "c"),
+            ev(reader, reader, "r", "hot", f"v{version + 1}@O"),
+            ev(reader, reader, "c"),
+        ]
+    graph = build_serialization_graph(events)
+    assert len(graph.nodes) == 20_000
+    assert find_cycle(graph) is None
+    ops = sum(1 for e in events if e.op in (READ, WRITE))
+    assert len(graph.edges) <= 2 * ops
+
+
+def test_read_only_anomaly_still_flagged():
+    # T1 reads x v1; T2 reads and overwrites x and y and commits; T1 then
+    # reads y v2.  No serial order explains T1, and the reduced graph must
+    # still say so until read-only txns read a snapshot.
+    events = [
+        ev(0, 1, "r", "x", "v1@O"),
+        ev(1, 2, "r", "x", "v1@O"),
+        ev(2, 2, "r", "y", "v1@O"),
+        ev(3, 2, "w", "x", "v2@O"),
+        ev(3, 2, "w", "y", "v2@O"),
+        ev(3, 2, "c"),
+        ev(4, 1, "r", "y", "v2@O"),
+        ev(5, 1, "c"),
+    ]
+    cycle = find_cycle(assert_same_verdicts(events))
+    assert cycle is not None and set(cycle) == {1, 2}
