@@ -12,7 +12,9 @@ Subcommands:
   trace and report whether it is acyclic: ``ACYCLIC (N committed txns, M
   edges)``, where M counts the edges between consecutive conflicting
   operations that ``sg.build_serialization_graph`` builds (at most two per
-  O/P read or write), or ``CYCLE: t1 -> ... -> t1``.
+  O/P read or write), or ``CYCLE: t1 -> ... -> t1``.  The trace is parsed
+  and the graph built in one streaming pass over the file
+  (``sg.iter_trace_csv``), so no list of its rows is kept.
 """
 
 from __future__ import annotations
@@ -28,7 +30,15 @@ from .harness import (
     overload_adaptation_scenario,
     run_experiment,
 )
-from .sg import build_serialization_graph, find_cycle, read_trace_csv
+# read_trace_csv is not called here but stays a name of this module:
+# bench/spans.py wraps cli.read_trace_csv, cli.build_serialization_graph and
+# cli.find_cycle by name.
+from .sg import (  # noqa: F401
+    build_serialization_graph,
+    find_cycle,
+    iter_trace_csv,
+    read_trace_csv,
+)
 
 CONFIG_KEYS = {
     "epochs",
@@ -165,8 +175,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_sg_check(args: argparse.Namespace) -> int:
     with open(args.trace, encoding="utf-8") as fh:
-        events = read_trace_csv(fh)
-    graph = build_serialization_graph(events)
+        graph = build_serialization_graph(iter_trace_csv(fh))
     cycle = find_cycle(graph)
     if cycle:
         print("CYCLE: " + " -> ".join(str(t) for t in cycle))

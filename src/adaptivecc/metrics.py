@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from statistics import fmean, pstdev
 from typing import Iterable, Optional, Sequence, TextIO
-
-import numpy as np
 
 from .adaptation import compute_cr, compute_cr_eff
 
@@ -189,15 +188,15 @@ def summarize(
     commits = [e for e in events if e.outcome == "commit"]
     aborts = [e for e in events if e.outcome != "commit"]
     series = aggregate(events, tw_ms)
-    cr_values = np.array([row.cr for row in series], dtype=float)
+    cr_values = [row.cr for row in series]
     by_reason = {
         reason: sum(1 for e in aborts if e.abort_reason == reason) / len(events)
         for reason in ABORT_REASONS
     }
     return Summary(
-        mean_rt_ms=float(np.mean([e.response_time_ms for e in events])),
-        mean_cr=float(np.mean(cr_values)),
-        std_cr=float(np.std(cr_values)),
+        mean_rt_ms=fmean(e.response_time_ms for e in events),
+        mean_cr=fmean(cr_values),
+        std_cr=pstdev(cr_values),
         mean_cr_eff=len(commits) / len(events),
         tas=len(events),
         commits_per_sec=len(commits) / (elapsed_ms / 1000.0),

@@ -17,13 +17,19 @@ the same transitive closure over committed transactions as the conflict
 graph of every conflicting pair (Bernstein, Hadzilacos & Goodman, 1987),
 and the same cycles, with at most two edges per operation instead of one
 per pair.
+
+The graph is built in one pass over any iterable of events, so a trace file
+can be checked straight from ``iter_trace_csv`` without a list of its rows.
+The pass keeps one entry per transaction and one per O/P read or write;
+lock rows and R/E operations cost time but no memory.  A ``ScheduleEvent``
+is a named tuple and compares equal to the plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
 
 from .store import CCClass
 
@@ -34,15 +40,16 @@ LOCK = "l"
 WRITE = "w"
 COMMIT = "c"
 ABORT = "a"
-OPS = (READ, LOCK, WRITE, COMMIT, ABORT)
+
+_CLASS_BY_LETTER = {cls.value: cls for cls in CCClass}
+_RECONCILED = (CCClass.R, CCClass.E)
 
 
 class MalformedHistoryError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ScheduleEvent:
+class ScheduleEvent(NamedTuple):
     """One line of the schedule trace.
 
     ``detail`` carries ``v<version>@<class>`` for reads and writes and the
@@ -88,48 +95,76 @@ def build_serialization_graph(
 ) -> SerializationGraph:
     """Build the serialization graph of a complete history.
 
-    One pass over each item's committed O/P operations keeps the last
-    writer and the readers since that write and builds only the edges
-    between consecutive conflicting operations (see the module docstring).
+    One pass over ``events`` (any iterable, consumed once) records each
+    transaction's termination and, per item, the ``(txn, op)`` of every
+    O/P read and write; R/E operations and lock rows leave nothing behind.
+    Afterwards each item's operations of committed transactions are walked
+    in trace order, keeping the last writer and the readers since that
+    write, and only the edges between consecutive conflicting operations
+    are built (see the module docstring).  Memory is proportional to the
+    transactions plus the O/P reads and writes, not to the trace rows.
+
     Item classes come from the event details; ``classes`` supplies them for
-    traces that omit the annotation.  Raises MalformedHistoryError if any
-    transaction lacks a terminal commit/abort event.
+    traces that omit the annotation.  Errors, checked in this order: an
+    unknown op raises MalformedHistoryError, then so does any transaction
+    without a terminal commit/abort event; then the first committed read or
+    write in trace order whose class is unknown raises ValueError (a bad
+    letter) or MalformedHistoryError (no annotation and no ``classes``
+    entry).  Operations of aborted transactions are never classified, so a
+    bad class there is not an error.
     """
-    events = list(events)
-    seen: set[int] = set()
-    terminated: dict[int, str] = {}
-    for ev in events:
-        if ev.op not in OPS:
-            raise MalformedHistoryError(f"unknown op {ev.op!r}")
-        seen.add(ev.txn_id)
-        if ev.op in (COMMIT, ABORT):
-            terminated[ev.txn_id] = ev.op
-    dangling = seen - set(terminated)
+    terminal: dict[int, Optional[str]] = {}  # txn -> last commit/abort op, None while open
+    per_item: dict[str, list[tuple[int, str]]] = {}
+    # txn -> (item, class letter or None) of its first unclassifiable op.  A
+    # class is an error only once the txn is known to commit; insertion order
+    # is trace order, so the first committed entry is the one to report.
+    unclassified: dict[int, tuple[str, Optional[str]]] = {}
+    unknown_op: Optional[str] = None
+    for _, txn, op, item, detail in events:
+        if op == READ or op == WRITE:
+            terminal.setdefault(txn, None)
+            _, at, letter = detail.rpartition("@")
+            if at:
+                cls = _CLASS_BY_LETTER.get(letter)
+                if cls is None:
+                    unclassified.setdefault(txn, (item, letter))
+                    continue
+            else:
+                cls = classes.get(item) if classes is not None else None
+                if cls is None:
+                    unclassified.setdefault(txn, (item, None))
+                    continue
+            if cls not in _RECONCILED:
+                per_item.setdefault(item, []).append((txn, op))
+        elif op == COMMIT or op == ABORT:
+            terminal[txn] = op
+        elif op == LOCK:
+            terminal.setdefault(txn, None)
+        elif unknown_op is None:
+            unknown_op = op
+
+    if unknown_op is not None:
+        raise MalformedHistoryError(f"unknown op {unknown_op!r}")
+    dangling = [t for t, op in terminal.items() if op is None]
     if dangling:
         raise MalformedHistoryError(f"unterminated transactions: {sorted(dangling)}")
-
-    committed = {t for t, op in terminated.items() if op == COMMIT}
-    graph = SerializationGraph(nodes=set(committed))
-
-    per_item: dict[str, list[tuple[int, str]]] = {}
-    for ev in events:
-        if ev.op not in (READ, WRITE) or ev.txn_id not in committed:
+    committed = {t for t, op in terminal.items() if op == COMMIT}
+    for txn, (item, letter) in unclassified.items():
+        if txn not in committed:
             continue
-        cls = ev.item_class()
-        if cls is None and classes is not None:
-            cls = classes.get(ev.item)
-        if cls is None:
-            raise MalformedHistoryError(
-                f"no class known for item {ev.item!r}; annotate the trace or pass classes"
-            )
-        if cls in (CCClass.R, CCClass.E):
-            continue
-        per_item.setdefault(ev.item, []).append((ev.txn_id, ev.op))
+        if letter is not None:
+            CCClass(letter)  # raises ValueError, as for any unknown class letter
+        raise MalformedHistoryError(
+            f"no class known for item {item!r}; annotate the trace or pass classes"
+        )
 
+    graph = SerializationGraph(nodes=committed)
     for item, ops in per_item.items():
         writer: Optional[int] = None
         readers: set[int] = set()  # readers since the last write
         for txn, op in ops:
+            if txn not in committed:
+                continue
             if op == READ:
                 if writer is not None and writer != txn:
                     graph.edges.add(Edge(writer, txn, item, "wr"))
@@ -178,17 +213,26 @@ def find_cycle(graph: SerializationGraph) -> Optional[list[int]]:
 def write_trace_csv(events: Iterable[ScheduleEvent], outfile: TextIO) -> None:
     writer = csv.writer(outfile)
     writer.writerow(TRACE_COLUMNS)
-    for ev in events:
-        writer.writerow([int(ev.time_ms), ev.txn_id, ev.op, ev.item, ev.detail])
+    writerow = writer.writerow
+    for time_ms, txn, op, item, detail in events:
+        writerow((int(time_ms), txn, op, item, detail))
 
 
-def read_trace_csv(infile: TextIO) -> list[ScheduleEvent]:
+def iter_trace_csv(infile: TextIO) -> Iterator[ScheduleEvent]:
+    """Yield the events of a trace CSV one row at a time.
+
+    The header is checked when the first event is requested; a wrong or
+    missing header raises ValueError.  Blank rows are skipped.
+    """
     reader = csv.reader(infile)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != TRACE_COLUMNS:
         raise ValueError(f"trace header must be {','.join(TRACE_COLUMNS)}")
-    return [
-        ScheduleEvent(int(row[0]), int(row[1]), row[2], row[3], row[4])
-        for row in reader
-        if row
-    ]
+    make = ScheduleEvent._make
+    for row in reader:
+        if row:
+            yield make((int(row[0]), int(row[1]), row[2], row[3], row[4]))
+
+
+def read_trace_csv(infile: TextIO) -> list[ScheduleEvent]:
+    return list(iter_trace_csv(infile))

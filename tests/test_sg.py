@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from adaptivecc.sg import (
     SerializationGraph,
     build_serialization_graph,
     find_cycle,
+    iter_trace_csv,
     read_trace_csv,
     write_trace_csv,
 )
@@ -251,3 +253,145 @@ def test_read_only_anomaly_still_flagged():
     ]
     cycle = find_cycle(assert_same_verdicts(events))
     assert cycle is not None and set(cycle) == {1, 2}
+
+
+# -- the streaming CSV path against the in-memory build and the oracle -------
+
+
+def as_csv(events):
+    buffer = io.StringIO()
+    write_trace_csv(events, buffer)
+    buffer.seek(0)
+    return buffer
+
+
+def assert_csv_path_agrees(events, classes=None):
+    """sg-check's path, the trace streamed from CSV into the builder, gives
+    the in-memory build's graph and the all-pairs oracle's verdict."""
+    streamed = build_serialization_graph(iter_trace_csv(as_csv(events)), classes)
+    in_memory = build_serialization_graph(events, classes)
+    slow = oracle_build_serialization_graph(events, classes)
+    assert streamed.nodes == in_memory.nodes == slow.nodes
+    assert streamed.edges == in_memory.edges
+    assert (find_cycle(streamed) is None) == (find_cycle(slow) is None)
+    assert read_trace_csv(as_csv(events)) == events
+    return streamed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(histories())
+def test_csv_stream_matches_in_memory_build(history):
+    events, classes = history
+    assert_csv_path_agrees(events, classes)
+
+
+@pytest.mark.parametrize("allow_reclass", [False, True])
+def test_csv_stream_matches_on_micro_workloads(allow_reclass):
+    for seed in range(200):
+        engine = run_micro_workload(seed, allow_reclass=allow_reclass)
+        assert find_cycle(assert_csv_path_agrees(engine.trace)) is None, f"seed {seed}"
+
+
+def test_schedule_event_is_a_plain_tuple():
+    event = ev(3, 1, "r", "x", "v2@O")
+    assert event == (3, 1, "r", "x", "v2@O")
+    assert ev(3, 1, "c") == (3, 1, "c", "", "")
+    assert event.item_class() is CCClass.O
+
+
+def test_iter_trace_csv_checks_the_header_and_skips_blank_rows():
+    with pytest.raises(ValueError, match="trace header"):
+        list(iter_trace_csv(io.StringIO("time,txn\n0,1\n")))
+    with pytest.raises(ValueError, match="trace header"):
+        list(iter_trace_csv(io.StringIO("")))
+    rows = "time_ms,txn_id,op,item,detail\n0,1,r,x,v1@O\n\n1,1,c,,\n"
+    assert list(iter_trace_csv(io.StringIO(rows))) == [ev(0, 1, "r", "x", "v1@O"), ev(1, 1, "c")]
+
+
+# Which error a malformed history raises, if any.  The unknown op comes
+# first, then unterminated txns, then the first committed read or write, in
+# trace order, whose class is unknown; an aborted txn's class is never looked
+# at.
+MALFORMED = {
+    "unannotated op of an aborted txn": (
+        [ev(0, 1, "r", "x", "v1"), ev(1, 1, "a", "", "validation"), ev(2, 2, "c")],
+        None,
+    ),
+    "v1@X on an aborted txn": (
+        [ev(0, 1, "r", "x", "v1@X"), ev(1, 1, "a", "", "validation"), ev(2, 2, "c")],
+        None,
+    ),
+    "v1@X on a committed txn": (
+        [ev(0, 1, "r", "x", "v1@X"), ev(1, 1, "c")],
+        (ValueError, "not a valid CCClass"),
+    ),
+    "unknown op plus a dangling txn": (
+        [ev(0, 1, "r", "x", "v1@O"), ev(1, 2, "z", "x")],
+        (MalformedHistoryError, "unknown op"),
+    ),
+    "dangling txn plus a missing class": (
+        [ev(0, 1, "r", "x", "v1"), ev(1, 1, "c"), ev(2, 2, "r", "x", "v1@O")],
+        (MalformedHistoryError, "unterminated"),
+    ),
+    "lock-only dangling txn": (
+        [ev(0, 1, "r", "x", "v1@P"), ev(1, 1, "c"), ev(2, 2, "l", "x", "P")],
+        (MalformedHistoryError, "unterminated"),
+    ),
+    "missing class before a bad letter, both committed": (
+        [ev(0, 2, "r", "y", "v1"), ev(1, 1, "r", "x", "v1@X"), ev(2, 1, "c"), ev(3, 2, "c")],
+        (MalformedHistoryError, "no class known for item 'y'"),
+    ),
+    "missing class then a bad letter in one committed txn": (
+        [ev(0, 1, "r", "x", "v1"), ev(1, 1, "r", "y", "v1@X"), ev(2, 1, "c")],
+        (MalformedHistoryError, "no class known for item 'x'"),
+    ),
+    "bad letter of an aborted txn before a missing class": (
+        [
+            ev(0, 1, "r", "x", "v1@X"),
+            ev(1, 2, "r", "y", "v1"),
+            ev(2, 1, "a", "", "validation"),
+            ev(3, 2, "c"),
+        ],
+        (MalformedHistoryError, "no class known for item 'y'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids=list(MALFORMED))
+@pytest.mark.parametrize("via_csv", [False, True], ids=["events", "csv"])
+def test_malformed_history_outcomes(case, via_csv):
+    events, expected = MALFORMED[case]
+    source = iter_trace_csv(as_csv(events)) if via_csv else events
+    if expected is None:
+        build_serialization_graph(source)
+        return
+    error, message = expected
+    with pytest.raises(error, match=message):
+        build_serialization_graph(source)
+
+
+def peak_build_bytes(events, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_trace_csv(events, fh)
+    with open(path, encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            build_serialization_graph(iter_trace_csv(fh))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_build_memory_does_not_grow_with_lock_and_reconciled_rows(tmp_path):
+    # 5 000 committed txns on O items; the padded trace adds 10 lock rows and
+    # 10 reads of R items to every txn, which the graph never uses.
+    plain, padded = [], []
+    for txn in range(1, 5001):
+        item = f"o{txn % 10}"
+        ops = [ev(txn, txn, "r", item, f"v{txn}@O"), ev(txn, txn, "w", item, f"v{txn + 1}@O")]
+        noise = [ev(txn, txn, "l", f"p{k}", "P") for k in range(10)]
+        noise += [ev(txn, txn, "r", f"acct{k}", f"v{txn}@R") for k in range(10)]
+        plain += ops + [ev(txn, txn, "c")]
+        padded += noise + ops + [ev(txn, txn, "c")]
+    trace = tmp_path / "trace.csv"
+    assert peak_build_bytes(padded, trace) < 1.5 * peak_build_bytes(plain, trace)

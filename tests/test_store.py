@@ -172,3 +172,9 @@ def test_store_safe_under_concurrent_sessions():
     # the shared counter saw interleaved read-modify-write without a lock,
     # so its value may lag, but its version ticked once per install
     assert store.read_committed("shared")[1] == 801
+
+
+def test_class_formats_as_its_letter():
+    # The engine writes f"v{version}@{cls}" into every traced read and write.
+    assert [f"@{cls}" for cls in CCClass] == ["@O", "@R", "@P", "@E"]
+    assert f"{CCClass.P:>3}|{CCClass.E!s}|{CCClass.O!r}" == "  P|E|<CCClass.O: 'O'>"
