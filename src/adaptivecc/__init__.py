@@ -53,7 +53,7 @@ from .harness import (
     tpcc_deck,
 )
 from .locks import AcquireStatus, LockManager
-from .metrics import Summary, TerminationEvent, aggregate, summarize
+from .metrics import Summary, aggregate, summarize
 from .semantic import EscrowLedger, reconcile_commit
 from .sg import ScheduleEvent, SerializationGraph, build_serialization_graph, find_cycle
 from .store import CCClass, Constraint, Store, VersionedItem
@@ -85,7 +85,6 @@ __all__ = [
     "Stage1",
     "Store",
     "Summary",
-    "TerminationEvent",
     "TerminationRecord",
     "Txn",
     "TxnTemplate",

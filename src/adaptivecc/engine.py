@@ -122,6 +122,7 @@ class Txn:
     termination_ms: Optional[float] = None
     abort_reason: Optional[AbortReason] = None
     waiting_on: Optional[str] = None
+    service_ms: float = 0.0  # modeled busy time, charged by the caller
     _pending_cb: Optional[Callable[[ReadOutcome], None]] = None
 
     @property
@@ -131,7 +132,11 @@ class Txn:
 
 @dataclass(frozen=True)
 class TerminationRecord:
-    """Fan-out payload for the termination lane."""
+    """One terminated transaction: the payload of the termination lane.
+
+    The controller, the metrics and ``terminations.csv`` all read this one
+    record; the CSV keeps the integer-millisecond views.
+    """
 
     txn_id: int
     outcome: str  # "commit" | "abort"
@@ -142,6 +147,7 @@ class TerminationRecord:
     termination_ms: float
     items: tuple[tuple[str, CCClass], ...]  # (item id, class at read)
     queue_snapshots: dict[str, int]  # wait-queue length per P lock released
+    service_ms: float = 0.0  # modeled busy time (waits and disconnect excluded)
 
     @property
     def read_write_span_ms(self) -> Optional[float]:
@@ -150,8 +156,18 @@ class TerminationRecord:
         return self.write_submit_ms - self.first_read_ms
 
     @property
-    def response_time_ms(self) -> float:
-        return self.termination_ms - self.arrival_ms
+    def time_ms(self) -> int:
+        return int(self.termination_ms)
+
+    @property
+    def response_time_ms(self) -> int:
+        return int(self.termination_ms - self.arrival_ms)
+
+    @property
+    def service_time_ms(self) -> int:
+        # the harness charges busy time for the same sleeps the clock
+        # advanced through, so it can only exceed the response by float error
+        return min(int(self.service_ms), self.response_time_ms)
 
 
 def _wall_clock_ms(_start=time.monotonic()) -> float:
@@ -235,6 +251,8 @@ class Engine:
         with self._mutex:
             if txn.phase is not Phase.READING:
                 raise PhaseError(f"txn {txn.txn_id} cannot read in phase {txn.phase}")
+            if txn.waiting_on is not None:
+                raise PhaseError(f"txn {txn.txn_id} still waits on {txn.waiting_on}")
             if txn.read_only:
                 raise IntentError("read-only transactions reserve nothing")
             item = self.store.item(item_id)
@@ -414,6 +432,7 @@ class Engine:
             termination_ms=txn.termination_ms,
             items=tuple((i, r.class_at_read) for i, r in txn.read_set.items()),
             queue_snapshots=snapshots,
+            service_ms=txn.service_ms,
         )
         for sink in self.termination_sinks:
             sink(record)

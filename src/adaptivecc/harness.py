@@ -24,7 +24,7 @@ from typing import Generator, Optional
 from . import metrics, sg
 from .adaptation import AdaptationConfig, AdaptEvent, Controller, Mode
 from .engine import Engine, ReadStatus, TerminationRecord, Txn, WriteIntent
-from .metrics import Summary, TerminationEvent, TimeWindowRow
+from .metrics import Summary, TimeWindowRow
 from .simclock import Scheduler
 from .store import CCClass, Constraint, Store
 
@@ -199,7 +199,7 @@ def single_item_template() -> TxnTemplate:
 @dataclass
 class ExperimentResult:
     profile: EpochProfile
-    events: list[TerminationEvent]
+    events: list[TerminationRecord]
     schedule: list[sg.ScheduleEvent]
     adapt_events: list[AdaptEvent]
     timeseries: list[TimeWindowRow]
@@ -265,12 +265,11 @@ class ExperimentRunner:
             self.tw_ms = tw_ms
         else:
             self.tw_ms = adapt_config.tw_ms if adapt_config is not None else 100.0
-        self.engine.termination_sinks.append(self._on_termination)
+        self.events: list[TerminationRecord] = []
+        self.engine.termination_sinks.append(self.events.append)
         adaptable = [item.id for item in self.store.items() if item.adaptable]
         self._watched = adaptable[0] if len(adaptable) == 1 else None
-        self.events: list[TerminationEvent] = []
         self.arrivals: list[float] = []
-        self._busy: dict[int, float] = {}
         self._generators: dict[int, Generator] = {}
         self._active = 0
         self._spawn_remaining = 0
@@ -323,7 +322,7 @@ class ExperimentRunner:
             if outcome.status is ReadStatus.ABORTED:
                 return
             if self.op_cost_ms > 0:
-                self._busy[txn.txn_id] = self._busy.get(txn.txn_id, 0.0) + self.op_cost_ms
+                txn.service_ms += self.op_cost_ms
                 yield ("sleep", self.op_cost_ms)
         writes: dict[str, WriteIntent] = {}
         if not template.read_only:
@@ -342,7 +341,7 @@ class ExperimentRunner:
             yield ("sleep", dt_ms)
         if writes and self.op_cost_ms > 0:
             cost = self.op_cost_ms * len(writes)
-            self._busy[txn.txn_id] = self._busy.get(txn.txn_id, 0.0) + cost
+            txn.service_ms += cost
             yield ("sleep", cost)
         engine.submit_write_set(txn, writes)
         engine.commit_pipeline(txn)
@@ -380,23 +379,6 @@ class ExperimentRunner:
         # "wait": the engine continuation resumes the session later.
 
     # -- measurement --------------------------------------------------------
-
-    def _on_termination(self, record: TerminationRecord) -> None:
-        busy = self._busy.pop(record.txn_id, 0.0)
-        response = int(record.response_time_ms)
-        self.events.append(
-            TerminationEvent(
-                txn_id=record.txn_id,
-                time_ms=int(record.termination_ms),
-                outcome=record.outcome,
-                abort_reason=record.abort_reason.value if record.abort_reason else None,
-                response_time_ms=response,
-                # busy time accumulates the same sleeps the clock advanced
-                # through, so it can only exceed the response by float error
-                service_time_ms=min(int(busy), response),
-                items=tuple((i, c.value) for i, c in record.items),
-            )
-        )
 
     def _boundary(self) -> None:
         now = self.scheduler.now_ms
@@ -506,7 +488,7 @@ class ScenarioResult:
     adapt_events: list[AdaptEvent]
     abort_reasons: dict[int, Optional[str]]
     schedule: list[sg.ScheduleEvent]
-    events: list[TerminationEvent]
+    events: list[TerminationRecord]
 
 
 def overload_adaptation_scenario(out_dir: Optional[str] = None) -> ScenarioResult:
@@ -536,22 +518,8 @@ def overload_adaptation_scenario(out_dir: Optional[str] = None) -> ScenarioResul
     )
     engine.termination_sinks.append(controller.on_txn_termination)
 
-    events: list[TerminationEvent] = []
-
-    def collect(record: TerminationRecord) -> None:
-        events.append(
-            TerminationEvent(
-                txn_id=record.txn_id,
-                time_ms=int(record.termination_ms),
-                outcome=record.outcome,
-                abort_reason=record.abort_reason.value if record.abort_reason else None,
-                response_time_ms=int(record.response_time_ms),
-                service_time_ms=0,
-                items=tuple((i, c.value) for i, c in record.items),
-            )
-        )
-
-    engine.termination_sinks.append(collect)
+    events: list[TerminationRecord] = []
+    engine.termination_sinks.append(events.append)
 
     txns: dict[int, Txn] = {}
 

@@ -1,11 +1,12 @@
-"""Event collection, per-time-window aggregation, and summary reporting.
+"""Per-time-window aggregation, summary reporting and the run's CSVs.
 
-Every quantity the experiment reports is recomputable from the raw
-termination events: response times, windowed and effective commit rates,
-commits per second, the degree of concurrency (summed service time of
-committed transactions over elapsed time; values above 1 mean useful
-parallelism), and abort rates split by reason.  All trace timestamps are
-integer milliseconds; numbers always use a ``.`` decimal separator.
+Every quantity the experiment reports is recomputable from the engine's
+termination records (``engine.TerminationRecord``): response times,
+windowed and effective commit rates, commits per second, the degree of
+concurrency (summed service time of committed transactions over elapsed
+time; values above 1 mean useful parallelism), and abort rates split by
+reason.  All CSV timestamps are integer milliseconds; numbers always use a
+``.`` decimal separator.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from statistics import fmean, pstdev
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .adaptation import compute_cr, compute_cr_eff
+from .engine import AbortReason, TerminationRecord
+from .store import CCClass
 
 TERMINATION_COLUMNS = [
     "txn_id",
@@ -53,29 +56,6 @@ SUMMARY_COLUMNS = [
     "abort_rate_reclassification",
 ]
 
-ABORT_REASONS = ("validation", "constraint", "deadlock", "reclassification")
-
-
-@dataclass(frozen=True)
-class TerminationEvent:
-    """One terminated transaction as the metrics layer sees it.
-
-    ``service_time_ms`` is the modeled busy time (waits and disconnect
-    excluded), so it never exceeds the response time.
-    """
-
-    txn_id: int
-    time_ms: int
-    outcome: str  # "commit" | "abort"
-    abort_reason: Optional[str]
-    response_time_ms: int
-    service_time_ms: int
-    items: tuple[tuple[str, str], ...] = ()  # (item id, class letter)
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.service_time_ms <= self.response_time_ms:
-            raise ValueError("need response_time >= service_time >= 0")
-
 
 @dataclass(frozen=True)
 class TimeWindowRow:
@@ -103,7 +83,7 @@ class Summary:
 
 
 def aggregate(
-    events: Iterable[TerminationEvent],
+    events: Iterable[TerminationRecord],
     tw_ms: float,
     samples: Optional[Sequence[tuple[float, float, str]]] = None,
     arrivals: Optional[Sequence[float]] = None,
@@ -128,7 +108,7 @@ def aggregate(
             committed[bucket] += 1
         else:
             aborted[bucket] += 1
-            if ev.abort_reason == "reclassification":
+            if ev.abort_reason is AbortReason.RECLASSIFICATION:
                 reclass[bucket] += 1
 
     sample_list = sorted(samples) if samples else []
@@ -172,7 +152,7 @@ def aggregate(
 
 
 def summarize(
-    events: Iterable[TerminationEvent], elapsed_ms: float, tw_ms: float = 100.0
+    events: Iterable[TerminationRecord], elapsed_ms: float, tw_ms: float = 100.0
 ) -> Summary:
     """Whole-run summary.
 
@@ -190,8 +170,8 @@ def summarize(
     series = aggregate(events, tw_ms)
     cr_values = [row.cr for row in series]
     by_reason = {
-        reason: sum(1 for e in aborts if e.abort_reason == reason) / len(events)
-        for reason in ABORT_REASONS
+        reason.value: sum(1 for e in aborts if e.abort_reason is reason) / len(events)
+        for reason in AbortReason
     }
     return Summary(
         mean_rt_ms=fmean(e.response_time_ms for e in events),
@@ -209,17 +189,18 @@ def summarize(
 # -- CSV emission -----------------------------------------------------------
 
 
-def _format_items(items: tuple[tuple[str, str], ...]) -> str:
+def _format_items(items: tuple[tuple[str, CCClass], ...]) -> str:
     return ";".join(f"{item}@{cls}" for item, cls in items)
 
 
-def _parse_items(cell: str) -> tuple[tuple[str, str], ...]:
+def _parse_items(cell: str) -> tuple[tuple[str, CCClass], ...]:
     if not cell:
         return ()
-    return tuple(tuple(part.rsplit("@", 1)) for part in cell.split(";"))
+    items = (part.rsplit("@", 1) for part in cell.split(";"))
+    return tuple((item, CCClass(letter)) for item, letter in items)
 
 
-def write_terminations_csv(events: Iterable[TerminationEvent], outfile: TextIO) -> None:
+def write_terminations_csv(events: Iterable[TerminationRecord], outfile: TextIO) -> None:
     writer = csv.writer(outfile)
     writer.writerow(TERMINATION_COLUMNS)
     for ev in events:
@@ -228,7 +209,7 @@ def write_terminations_csv(events: Iterable[TerminationEvent], outfile: TextIO) 
                 ev.txn_id,
                 ev.time_ms,
                 ev.outcome,
-                ev.abort_reason or "",
+                ev.abort_reason.value if ev.abort_reason else "",
                 ev.response_time_ms,
                 ev.service_time_ms,
                 _format_items(ev.items),
@@ -236,24 +217,39 @@ def write_terminations_csv(events: Iterable[TerminationEvent], outfile: TextIO) 
         )
 
 
-def read_terminations_csv(infile: TextIO) -> list[TerminationEvent]:
+def read_terminations_csv(infile: TextIO) -> list[TerminationRecord]:
+    """Parse a termination log back into records.
+
+    Each record gets the row's integer stamps (arrival = time - response),
+    so its integer views reproduce the row; the read-phase stamps and queue
+    snapshots, which the log does not keep, are absent.
+    """
     reader = csv.reader(infile)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != TERMINATION_COLUMNS:
         raise ValueError(f"termination log header must be {','.join(TERMINATION_COLUMNS)}")
-    return [
-        TerminationEvent(
-            txn_id=int(row[0]),
-            time_ms=int(row[1]),
-            outcome=row[2],
-            abort_reason=row[3] or None,
-            response_time_ms=int(row[4]),
-            service_time_ms=int(row[5]),
-            items=_parse_items(row[6]),
+    records = []
+    for row in reader:
+        if not row:
+            continue
+        time_ms, response, service = int(row[1]), int(row[4]), int(row[5])
+        if not 0 <= service <= response:
+            raise ValueError("need response_time >= service_time >= 0")
+        records.append(
+            TerminationRecord(
+                txn_id=int(row[0]),
+                outcome=row[2],
+                abort_reason=AbortReason(row[3]) if row[3] else None,
+                arrival_ms=time_ms - response,
+                first_read_ms=None,
+                write_submit_ms=None,
+                termination_ms=time_ms,
+                items=_parse_items(row[6]),
+                queue_snapshots={},
+                service_ms=service,
+            )
         )
-        for row in reader
-        if row
-    ]
+    return records
 
 
 def write_timeseries_csv(rows: Iterable[TimeWindowRow], outfile: TextIO) -> None:
@@ -288,5 +284,5 @@ def write_summary_csv(summary: Summary, outfile: TextIO) -> None:
             f"{summary.deg_conc:.6f}",
             f"{summary.abort_rate:.6f}",
         ]
-        + [f"{summary.abort_rate_by_reason[r]:.6f}" for r in ABORT_REASONS]
+        + [f"{summary.abort_rate_by_reason[r.value]:.6f}" for r in AbortReason]
     )

@@ -64,15 +64,6 @@ class EscrowLedger:
     def grants_of(self, txn_id: int) -> tuple[str, ...]:
         return tuple(sorted(i for i, g in self._pending.items() if txn_id in g))
 
-    def worst_case_bounds(self, item_id: str) -> tuple[float, float]:
-        """(worst low, worst high): committed value plus all pending
-        decrements resp. increments committing."""
-        item = self._store.item(item_id)
-        pending = self._pending.get(item_id, {}).values()
-        dec = sum(d for d in pending if d < 0)
-        inc = sum(d for d in pending if d > 0)
-        return item.committed_value + dec, item.committed_value + inc
-
     def _feasible(self, item_id: str, pending: dict[int, float], delta: float) -> bool:
         item = self._store.item(item_id)
         constraint = item.constraint
@@ -81,19 +72,9 @@ class EscrowLedger:
         values = list(pending.values())
         worst_low = item.committed_value + sum(d for d in values if d < 0) + min(delta, 0.0)
         worst_high = item.committed_value + sum(d for d in values if d > 0) + max(delta, 0.0)
-        if constraint.lower is not None:
-            if constraint.strict_lower:
-                if not worst_low > constraint.lower:
-                    return False
-            elif not worst_low >= constraint.lower:
-                return False
-        if constraint.upper is not None:
-            if constraint.strict_upper:
-                if not worst_high < constraint.upper:
-                    return False
-            elif not worst_high <= constraint.upper:
-                return False
-        return True
+        # worst_low <= committed value <= worst_high and the bounds form an
+        # interval, so both ends inside it is the whole worst-case check.
+        return constraint.satisfied(worst_low) and constraint.satisfied(worst_high)
 
     def request(self, item_id: str, txn_id: int, delta: float) -> bool:
         """Reserve ``delta`` if the worst-case interval stays within bounds.

@@ -432,8 +432,11 @@ def test_submit_while_waiting_rejected():
 
 
 def test_read_while_waiting_rejected():
-    # A second read would give the waiter a second wait.
-    engine, _ = make_engine([("x", 0, CCClass.P), ("y", 0, CCClass.P)])
+    # A second read would give the waiter a second wait, and an escrow read
+    # would reserve for a transaction that is still blocked.
+    engine, _ = make_engine(
+        [("x", 0, CCClass.P), ("y", 0, CCClass.P), ("e", 10, CCClass.E, Constraint(lower=0))]
+    )
     holder, waiter = engine.begin(), engine.begin()
     engine.read(holder, "x")
     assert engine.read(waiter, "x").status is ReadStatus.WAITING
@@ -441,6 +444,10 @@ def test_read_while_waiting_rejected():
         engine.read(waiter, "y")
     with pytest.raises(PhaseError):
         engine.read(waiter, "x")
+    with pytest.raises(PhaseError):
+        engine.read_escrow(waiter, "e", -3)
+    assert engine.escrow.granted_delta("e", waiter.txn_id) is None
+    assert "e" not in waiter.read_set
     assert waiter.waiting_on == "x"
     assert engine.locks.holder("y") is None
     assert engine.locks.queue("x") == (waiter.txn_id,)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from adaptivecc.adaptation import AdaptationConfig
+from adaptivecc.engine import AbortReason
 from adaptivecc.harness import (
     DECK_MIX,
     EpochProfile,
@@ -132,7 +133,7 @@ def test_si_only_mode_disables_adaptation_and_forces_o():
     )
     assert result.adapt_events == []
     reasons = {e.abort_reason for e in result.events if e.outcome == "abort"}
-    assert reasons <= {"validation"}  # pure first-committer-wins conflicts
+    assert reasons <= {AbortReason.VALIDATION}  # pure first-committer-wins conflicts
 
 
 def test_scenario_shape():
@@ -168,7 +169,7 @@ def test_constraint_safety_over_full_history():
 
     store.install_version = recording_install
     result = runner.run()
-    assert any(e.abort_reason == "constraint" for e in result.events)
+    assert any(e.abort_reason is AbortReason.CONSTRAINT for e in result.events)
     constraints = {item.id: item.constraint for item in store.items()}
     assert installs
     for item_id, value in installs:

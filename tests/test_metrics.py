@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from adaptivecc.engine import AbortReason, TerminationRecord
+from adaptivecc.harness import TEMPLATE_TPCC_DECK, EpochProfile, run_experiment
 from adaptivecc.metrics import (
-    TerminationEvent,
     aggregate,
     read_terminations_csv,
     summarize,
@@ -12,23 +13,35 @@ from adaptivecc.metrics import (
     write_terminations_csv,
     write_timeseries_csv,
 )
+from adaptivecc.store import CCClass
 
 
 def term(txn_id, time_ms, outcome="commit", reason=None, response=10, service=5, items=()):
-    return TerminationEvent(
+    """A record with integer stamps, as ``read_terminations_csv`` builds it."""
+    return TerminationRecord(
         txn_id=txn_id,
-        time_ms=time_ms,
         outcome=outcome,
-        abort_reason=reason,
-        response_time_ms=response,
-        service_time_ms=service,
-        items=tuple(items),
+        abort_reason=AbortReason(reason) if reason else None,
+        arrival_ms=time_ms - response,
+        first_read_ms=None,
+        write_submit_ms=None,
+        termination_ms=time_ms,
+        items=tuple((item, CCClass(cls)) for item, cls in items),
+        queue_snapshots={},
+        service_ms=service,
     )
 
 
-def test_event_rejects_service_above_response():
-    with pytest.raises(ValueError):
-        term(1, 0, response=5, service=6)
+def test_log_rejects_service_outside_response():
+    header = "txn_id,time_ms,outcome,abort_reason,response_time_ms,service_time_ms,items\n"
+    for service in (6, -1):
+        with pytest.raises(ValueError):
+            read_terminations_csv(io.StringIO(header + f"1,0,commit,,5,{service},\n"))
+
+
+def test_record_caps_service_time_at_response():
+    record = term(1, 100, response=5, service=6)
+    assert record.service_time_ms == record.response_time_ms == 5
 
 
 def test_aggregate_single_bucket_commit_rate():
@@ -114,7 +127,7 @@ def test_summarize_consistency_and_reason_partition():
     assert summary.tas == 200
 
 
-def test_roundtrip_summary_is_bit_exact():
+def _synthetic_events():
     rng = random.Random(9)
     events = []
     for i in range(300):
@@ -122,24 +135,52 @@ def test_roundtrip_summary_is_bit_exact():
         outcome = rng.choice(["commit", "abort"])
         reason = rng.choice(["validation", "constraint"]) if outcome == "abort" else None
         events.append(
-            TerminationEvent(
-                txn_id=i,
-                time_ms=rng.randrange(0, 60_000),
+            term(
+                i,
+                rng.randrange(0, 60_000),
                 outcome=outcome,
-                abort_reason=reason,
-                response_time_ms=response,
-                service_time_ms=rng.randrange(0, response + 1),
+                reason=reason,
+                response=response,
+                service=rng.randrange(0, response + 1),
                 items=(("hot", "O"), ("ledger", "R"))[: rng.randrange(0, 3)],
             )
         )
+    return events, 60_000.0, summarize(events, elapsed_ms=60_000.0)
+
+
+def _deck_run_events():
+    profile = EpochProfile(
+        lambdas=(150.0,), dt_min_ms=10, dt_max_ms=300, template=TEMPLATE_TPCC_DECK, seed=7
+    )
+    result = run_experiment(profile)
+    # float stamps and busy time: the log is where they are truncated
+    assert any(e.termination_ms != int(e.termination_ms) for e in result.events)
+    assert any(e.service_time_ms > 0 for e in result.events)
+    return result.events, result.elapsed_ms, result.summary
+
+
+@pytest.mark.parametrize(
+    "source", [_synthetic_events, _deck_run_events], ids=["synthetic", "deck_run"]
+)
+def test_roundtrip_summary_is_bit_exact(source):
+    events, elapsed, summary = source()
     buffer = io.StringIO()
     write_terminations_csv(events, buffer)
     buffer.seek(0)
     parsed = read_terminations_csv(buffer)
-    assert parsed == events
-    original = summarize(events, elapsed_ms=60_000.0)
-    recomputed = summarize(parsed, elapsed_ms=60_000.0)
-    assert original == recomputed  # bit-exact on every numeric field
+    fields = (
+        "txn_id",
+        "time_ms",
+        "outcome",
+        "abort_reason",
+        "response_time_ms",
+        "service_time_ms",
+        "items",
+    )
+    assert [[getattr(e, f) for f in fields] for e in parsed] == [
+        [getattr(e, f) for f in fields] for e in events
+    ]
+    assert summarize(parsed, elapsed) == summary  # bit-exact on every numeric field
 
 
 def test_summarize_rejects_empty():

@@ -17,3 +17,9 @@ def test_import_needs_no_numpy():
         check=True,
         timeout=60,
     )
+
+
+def test_every_public_name_resolves():
+    # `from adaptivecc import *` fails on any stale __all__ entry.
+    missing = [name for name in adaptivecc.__all__ if not hasattr(adaptivecc, name)]
+    assert not missing, missing

@@ -195,8 +195,15 @@ def test_escrow_request_release_request_roundtrip():
 def test_escrow_decisions_match_oracle_randomized():
     rng = random.Random(17)
     for case in range(300):
+        constraint = Constraint(
+            lower=rng.choice([None, 0, -5, 3]),
+            upper=rng.choice([None, 20, 30]),
+            strict_lower=rng.random() < 0.5,
+            strict_upper=rng.random() < 0.5,
+        )
         value = rng.randint(0, 15)
-        constraint = Constraint(lower=0, upper=rng.choice([None, 20, 30]))
+        while not constraint.satisfied(value):
+            value = rng.randint(0, 15)
         store = Store()
         store.create_item("x", value, CCClass.E, constraint)
         ledger = EscrowLedger(store)
