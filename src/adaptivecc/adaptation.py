@@ -33,6 +33,8 @@ RULE_LOW_CR_TO_LOCKING = "low-cr-to-locking"
 RULE_HIGH_CR_TO_OPTIMISTIC = "high-cr-to-optimistic"
 RULE_BARRIER_EXCEEDED = "barrier-exceeded"
 
+EWMA_WEIGHT = 0.2  # weight of the newest service-time sample
+
 
 class Mode(Enum):
     TIME_WINDOW = "timewindow"
@@ -46,7 +48,6 @@ class AdaptationConfig:
     beta: Optional[float] = None  # response-time barrier in ms; None disables
     tw_ms: float = 100.0
     mode: Mode = Mode.TIME_WINDOW
-    ewma_weight: float = 0.2  # weight of the newest service-time sample
     switch_back_queue_max: Optional[int] = None  # gate on P->O when set
 
     def __post_init__(self) -> None:
@@ -161,13 +162,11 @@ class Controller:
         config: AdaptationConfig,
         reclassify: Callable[[str, CCClass], None],
         event_sink: Optional[Callable[[AdaptEvent], None]] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.store = store
         self.config = config
         self.reclassify = reclassify
         self.event_sink = event_sink
-        self.clock = clock or (lambda: 0.0)
         self.states: dict[str, ItemState] = {
             item.id: ItemState() for item in store.items() if item.adaptable
         }
@@ -188,6 +187,7 @@ class Controller:
         """Update the counters of every adaptable item the transaction
         touched; in PER_TERMINATION mode the rules run immediately after."""
         now = record.termination_ms
+        snapshots = dict(record.queue_snapshots)
         for item_id, _cls in record.items:
             state = self.states.get(item_id)
             if state is None:
@@ -200,8 +200,8 @@ class Controller:
             span = record.read_write_span_ms
             if span is not None and self.current_class(item_id) is CCClass.P:
                 self._observe_service_time(state, span)
-            if item_id in record.queue_snapshots:
-                state.last_queue_len = record.queue_snapshots[item_id]
+            if item_id in snapshots:
+                state.last_queue_len = snapshots[item_id]
             if self.config.mode is Mode.PER_TERMINATION:
                 state.cr = compute_cr(
                     state.committed, state.terminated, state.reclass_aborts, state.cr
@@ -212,22 +212,20 @@ class Controller:
         if state.st_samples == 0:
             state.mean_st = span_ms
         else:
-            w = self.config.ewma_weight
-            state.mean_st = (1.0 - w) * state.mean_st + w * span_ms
+            state.mean_st = (1.0 - EWMA_WEIGHT) * state.mean_st + EWMA_WEIGHT * span_ms
         state.st_samples += 1
 
-    def close_window(self, now_ms: Optional[float] = None) -> None:
+    def close_window(self, now_ms: float) -> None:
         """TIME_WINDOW boundary: refresh every item's commit rate, run the
         rules, reset the window counters."""
         if self.config.mode is not Mode.TIME_WINDOW:
             raise ValueError("close_window applies to TIME_WINDOW mode only")
-        now = self.clock() if now_ms is None else now_ms
         for item_id, state in self.states.items():
             state.cr = compute_cr(
                 state.committed, state.terminated, state.reclass_aborts, state.cr
             )
             state.committed = state.terminated = state.reclass_aborts = 0
-            self._step(item_id, state, now)
+            self._step(item_id, state, now_ms)
 
     # -- rules -------------------------------------------------------------
 

@@ -18,7 +18,10 @@ fires when the lock is granted (or the item is flushed back to optimistic
 control).  Continuations must not re-enter the engine synchronously;
 schedule follow-up work instead.  Submissions and commits complete within
 the calling event.  Termination fans out to registered sinks, which is
-where the adaptation controller and metrics collection hook in.
+where the adaptation controller and metrics collection hook in.  Every
+sink runs even when an earlier one raises; the first error is re-raised
+once all have run, after the transaction has terminated and its locks and
+reservations have been passed on.
 
 Read-only transactions never lock or reserve and always commit; each of
 their reads is served from the latest committed state, so a multi-item
@@ -146,7 +149,8 @@ class TerminationRecord:
     write_submit_ms: Optional[float]
     termination_ms: float
     items: tuple[tuple[str, CCClass], ...]  # (item id, class at read)
-    queue_snapshots: dict[str, int]  # wait-queue length per P lock released
+    # (item id, wait-queue length) per P lock released, sorted by item id
+    queue_snapshots: tuple[tuple[str, int], ...]
     service_ms: float = 0.0  # modeled busy time (waits and disconnect excluded)
 
     @property
@@ -195,6 +199,13 @@ class Engine:
             sg.ScheduleEvent(int(self.clock()), txn_id, op, item, detail)
         )
 
+    @staticmethod
+    def _admit(txn: Txn, action: str, phases: tuple[Phase, ...] = (Phase.READING,)) -> None:
+        if txn.phase not in phases:
+            raise PhaseError(f"txn {txn.txn_id} cannot {action} in phase {txn.phase}")
+        if txn.waiting_on is not None:
+            raise PhaseError(f"txn {txn.txn_id} still waits on {txn.waiting_on}")
+
     # -- lifecycle ---------------------------------------------------------
 
     def begin(self, read_only: bool = False) -> Txn:
@@ -218,10 +229,7 @@ class Engine:
         A wait that would deadlock aborts this transaction instead.
         """
         with self._mutex:
-            if txn.phase is not Phase.READING:
-                raise PhaseError(f"txn {txn.txn_id} cannot read in phase {txn.phase}")
-            if txn.waiting_on is not None:
-                raise PhaseError(f"txn {txn.txn_id} still waits on {txn.waiting_on}")
+            self._admit(txn, "read")
             if item_id in txn.read_set:
                 rec = txn.read_set[item_id]
                 return ReadOutcome(ReadStatus.DONE, rec.value, rec.version)
@@ -249,10 +257,7 @@ class Engine:
         refusal aborts the transaction with reason CONSTRAINT.
         """
         with self._mutex:
-            if txn.phase is not Phase.READING:
-                raise PhaseError(f"txn {txn.txn_id} cannot read in phase {txn.phase}")
-            if txn.waiting_on is not None:
-                raise PhaseError(f"txn {txn.txn_id} still waits on {txn.waiting_on}")
+            self._admit(txn, "read")
             if txn.read_only:
                 raise IntentError("read-only transactions reserve nothing")
             item = self.store.item(item_id)
@@ -263,10 +268,7 @@ class Engine:
                 return ReadOutcome(
                     ReadStatus.ABORTED, abort_reason=AbortReason.CONSTRAINT
                 )
-            outcome = self._record_read(txn, item_id, escrow=True)
-            return ReadOutcome(
-                ReadStatus.DONE, outcome.value, outcome.version, granted=True
-            )
+            return self._record_read(txn, item_id, escrow=True)
 
     def _record_read(self, txn: Txn, item_id: str, escrow: bool = False) -> ReadOutcome:
         item = self.store.item(item_id)
@@ -275,23 +277,17 @@ class Engine:
         if txn.first_read_ms is None:
             txn.first_read_ms = self.clock()
         self._emit(txn.txn_id, sg.READ, item_id, f"v{version}@{item.current_class}")
-        return ReadOutcome(ReadStatus.DONE, value, version)
+        return ReadOutcome(ReadStatus.DONE, value, version, granted=escrow)
 
     def disconnect(self, txn: Txn) -> None:
         """End the read phase; locks and reservations persist."""
-        if txn.phase is not Phase.READING:
-            raise PhaseError(f"txn {txn.txn_id} cannot disconnect in phase {txn.phase}")
-        if txn.waiting_on is not None:
-            raise PhaseError(f"txn {txn.txn_id} still waits on {txn.waiting_on}")
+        self._admit(txn, "disconnect")
         txn.phase = Phase.DISCONNECTED
 
     def submit_write_set(self, txn: Txn, writes: dict[str, WriteIntent]) -> None:
         """Hand in the complete write set; every target must have been read."""
         with self._mutex:
-            if txn.phase not in (Phase.READING, Phase.DISCONNECTED):
-                raise PhaseError(f"txn {txn.txn_id} cannot write in phase {txn.phase}")
-            if txn.waiting_on is not None:
-                raise PhaseError(f"txn {txn.txn_id} still waits on {txn.waiting_on}")
+            self._admit(txn, "write", (Phase.READING, Phase.DISCONNECTED))
             if txn.read_only and writes:
                 raise IntentError("read-only transaction submitted writes")
             for item_id, intent in writes.items():
@@ -398,12 +394,12 @@ class Engine:
                 txn.txn_id, sg.WRITE, item_id, f"v{item.version}@{rec.class_at_read}"
             )
 
-    def abort(self, txn: Txn, reason: Optional[AbortReason] = None) -> bool:
+    def abort(self, txn: Txn) -> bool:
         """Abort from any non-terminal phase; a no-op on terminated txns."""
         with self._mutex:
             if txn.terminated:
                 return False
-            self._terminate(txn, Phase.ABORTED, reason)
+            self._terminate(txn, Phase.ABORTED, None)
             return True
 
     def _terminate(self, txn: Txn, phase: Phase, reason: Optional[AbortReason]) -> None:
@@ -416,7 +412,7 @@ class Engine:
             self._emit(txn.txn_id, sg.ABORT, "", reason.value if reason else "")
         txn.waiting_on = None  # release_all withdraws the queued request
         txn._pending_cb = None
-        snapshots = {i: self.locks.queue_len(i) for i in self.locks.held_by(txn.txn_id)}
+        snapshots = tuple((i, self.locks.queue_len(i)) for i in self.locks.held_by(txn.txn_id))
         _, grants = self.locks.release_all(txn.txn_id)
         self.escrow.release_all(txn.txn_id)
         self._active.pop(txn.txn_id, None)
@@ -434,8 +430,15 @@ class Engine:
             queue_snapshots=snapshots,
             service_ms=txn.service_ms,
         )
+        error: Optional[Exception] = None
         for sink in self.termination_sinks:
-            sink(record)
+            try:
+                sink(record)
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
 
     def _complete_grant(self, item_id: str, txn_id: int) -> None:
         txn = self._active.get(txn_id)
@@ -446,10 +449,14 @@ class Engine:
                 return
             txn_id = grant.txn_id
             txn = self._active.get(txn_id)
+        self._emit(txn.txn_id, sg.LOCK, item_id, "P")
+        self._wake(txn, item_id)
+
+    def _wake(self, txn: Txn, item_id: str) -> None:
+        """Complete the read a queued transaction waits on and resume it."""
         txn.waiting_on = None
         cb = txn._pending_cb
         txn._pending_cb = None
-        self._emit(txn.txn_id, sg.LOCK, item_id, "P")
         outcome = self._record_read(txn, item_id)
         if cb is not None:
             cb(outcome)
@@ -470,11 +477,5 @@ class Engine:
             if was is CCClass.P and to_class is CCClass.O:
                 for txn_id in self.locks.drain_queue(item_id):
                     txn = self._active.get(txn_id)
-                    if txn is None or txn.waiting_on != item_id:
-                        continue
-                    txn.waiting_on = None
-                    cb = txn._pending_cb
-                    txn._pending_cb = None
-                    outcome = self._record_read(txn, item_id)
-                    if cb is not None:
-                        cb(outcome)
+                    if txn is not None and txn.waiting_on == item_id:
+                        self._wake(txn, item_id)

@@ -251,14 +251,13 @@ class ExperimentRunner:
         self.engine = Engine(self.store, clock=lambda: self.scheduler.now_ms)
         self.adapt_events: list[AdaptEvent] = []
         self.controller: Optional[Controller] = None
-        # si_only is the plain snapshot-isolation baseline: no adaptation.
+        # si_only: every item in O, whole read sets validated backward, no adaptation.
         if adapt_config is not None and engine_mode == "orpe":
             self.controller = Controller(
                 self.store,
                 adapt_config,
                 reclassify=self.engine.reclassify_item,
                 event_sink=self.adapt_events.append,
-                clock=lambda: self.scheduler.now_ms,
             )
             self.engine.termination_sinks.append(self.controller.on_txn_termination)
         if tw_ms is not None:
@@ -514,7 +513,6 @@ def overload_adaptation_scenario(out_dir: Optional[str] = None) -> ScenarioResul
         config,
         reclassify=engine.reclassify_item,
         event_sink=adapt_events.append,
-        clock=lambda: scheduler.now_ms,
     )
     engine.termination_sinks.append(controller.on_txn_termination)
 

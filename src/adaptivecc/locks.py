@@ -45,8 +45,9 @@ class Grant:
     """Emitted by release when a queued waiter becomes the holder.
 
     ``queue_len_at_release`` counts the transactions still waiting when the
-    previous holder let go (including the one being granted); the adaptation
-    controller uses it as its wait-queue snapshot.
+    previous holder let go (including the one being granted).  The engine
+    does not read it: the controller's wait-queue snapshot is taken from
+    ``queue_len`` before the terminating holder releases its locks.
     """
 
     item_id: str

@@ -245,7 +245,7 @@ def read_terminations_csv(infile: TextIO) -> list[TerminationRecord]:
                 write_submit_ms=None,
                 termination_ms=time_ms,
                 items=_parse_items(row[6]),
-                queue_snapshots={},
+                queue_snapshots=(),
                 service_ms=service,
             )
         )

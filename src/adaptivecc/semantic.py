@@ -64,14 +64,15 @@ class EscrowLedger:
     def grants_of(self, txn_id: int) -> tuple[str, ...]:
         return tuple(sorted(i for i, g in self._pending.items() if txn_id in g))
 
-    def _feasible(self, item_id: str, pending: dict[int, float], delta: float) -> bool:
+    def _feasible(self, item_id: str, txn_id: int, delta: float) -> bool:
         item = self._store.item(item_id)
         constraint = item.constraint
         if constraint is None:
             return True
-        values = list(pending.values())
-        worst_low = item.committed_value + sum(d for d in values if d < 0) + min(delta, 0.0)
-        worst_high = item.committed_value + sum(d for d in values if d > 0) + max(delta, 0.0)
+        # txn_id's own reservation is the one being replaced by delta
+        value, pending = item.committed_value, self._pending.get(item_id, {}).items()
+        worst_low = value + sum(d for t, d in pending if d < 0 and t != txn_id) + min(delta, 0.0)
+        worst_high = value + sum(d for t, d in pending if d > 0 and t != txn_id) + max(delta, 0.0)
         # worst_low <= committed value <= worst_high and the bounds form an
         # interval, so both ends inside it is the whole worst-case check.
         return constraint.satisfied(worst_low) and constraint.satisfied(worst_high)
@@ -79,17 +80,14 @@ class EscrowLedger:
     def request(self, item_id: str, txn_id: int, delta: float) -> bool:
         """Reserve ``delta`` if the worst-case interval stays within bounds.
 
-        Returns True (granted) or False (refused, no state change).
+        Returns True (granted) or False (refused, no state change).  A
+        replaced reservation moves to the end of the item's order.
         """
         with self._mutex:
-            pending = self._pending.setdefault(item_id, {})
-            others = {t: d for t, d in pending.items() if t != txn_id}
-            if not self._feasible(item_id, others, delta):
-                if not pending:
-                    self._pending.pop(item_id, None)
+            if not self._feasible(item_id, txn_id, delta):
                 return False
-            pending.clear()
-            pending.update(others)
+            pending = self._pending.setdefault(item_id, {})
+            pending.pop(txn_id, None)
             pending[txn_id] = delta
             return True
 

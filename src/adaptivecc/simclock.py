@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 
 class Scheduler:
-    def __init__(self, start_ms: float = 0.0, paced: bool = False) -> None:
-        self.now_ms = start_ms
+    def __init__(self, paced: bool = False) -> None:
+        self.now_ms = 0.0
         self.paced = paced
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
@@ -28,9 +28,6 @@ class Scheduler:
 
     def call_later(self, delay_ms: float, fn: Callable[[], None]) -> None:
         self.call_at(self.now_ms + max(delay_ms, 0.0), fn)
-
-    def pending(self) -> int:
-        return len(self._queue)
 
     def run(self, until_ms: Optional[float] = None) -> None:
         """Drain the queue (optionally only up to ``until_ms``)."""

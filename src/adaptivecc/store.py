@@ -151,9 +151,6 @@ class Store:
         except KeyError:
             raise UnknownItemError(item_id) from None
 
-    def __contains__(self, item_id: str) -> bool:
-        return item_id in self._items
-
     def items(self) -> Iterator[VersionedItem]:
         return iter(self._items.values())
 

@@ -462,3 +462,89 @@ def test_abort_passes_lock_through_deep_queue_of_dead_waiters():
     engine.abort(holder)
     assert engine.locks.holder("x") is None
     assert engine.locks.queue_len("x") == 0
+
+
+# -- termination sinks that raise ----------------------------------------------
+
+
+def raising_sink(message):
+    def sink(_record):
+        raise RuntimeError(message)
+
+    return sink
+
+
+def test_raising_sink_does_not_stop_later_sinks_or_the_hand_over():
+    engine, _ = make_engine([("x", 0, CCClass.P)])
+    records = []
+    engine.termination_sinks[:] = [raising_sink("first"), records.append]
+    holder, waiter = engine.begin(), engine.begin()
+    engine.read(holder, "x")
+    resumed = []
+    assert engine.read(waiter, "x", on_complete=resumed.append).status is ReadStatus.WAITING
+    engine.disconnect(holder)
+    engine.submit_write_set(holder, {"x": WriteIntent.absolute(1)})
+    with pytest.raises(RuntimeError, match="first"):
+        engine.commit_pipeline(holder)
+    assert [r.txn_id for r in records] == [holder.txn_id]
+    assert holder.phase is Phase.COMMITTED
+    assert engine.locks.holder("x") == waiter.txn_id
+    assert [o.value for o in resumed] == [1]
+
+
+def test_first_of_two_sink_errors_propagates():
+    engine, _ = make_engine([("x", 0, CCClass.O)])
+    engine.termination_sinks[:] = [raising_sink("first"), raising_sink("second")]
+    txn = engine.begin()
+    engine.read(txn, "x")
+    with pytest.raises(RuntimeError, match="first"):
+        run_to_commit(engine, txn, {"x": WriteIntent.absolute(1)})
+    assert txn.phase is Phase.COMMITTED
+
+
+# -- admission: which call each phase allows -----------------------------------
+
+
+ADMISSION_STATES = ("reading", "waiting", "disconnected", "writing", "committed", "aborted")
+ADMISSION_CALLS = {  # name -> (verb of its phase error, the call)
+    "read": ("read", lambda engine, txn: engine.read(txn, "o")),
+    "read_escrow": ("read", lambda engine, txn: engine.read_escrow(txn, "e", -1)),
+    "disconnect": ("disconnect", lambda engine, txn: engine.disconnect(txn)),
+    "submit_write_set": ("write", lambda engine, txn: engine.submit_write_set(txn, {})),
+}
+
+
+def txn_in_state(engine, state):
+    holder, txn = engine.begin(), engine.begin()
+    engine.read(holder, "p")
+    if state == "waiting":
+        assert engine.read(txn, "p").status is ReadStatus.WAITING
+    if state in ("disconnected", "writing", "committed"):
+        engine.disconnect(txn)
+    if state in ("writing", "committed"):
+        engine.submit_write_set(txn, {})
+    if state == "committed":
+        engine.commit_pipeline(txn)
+    if state == "aborted":
+        engine.abort(txn)
+    return txn
+
+
+@pytest.mark.parametrize("state", ADMISSION_STATES)
+@pytest.mark.parametrize("call", sorted(ADMISSION_CALLS))
+def test_admission_matrix(call, state):
+    engine, _ = make_engine(
+        [("o", 0, CCClass.O), ("p", 0, CCClass.P), ("e", 10, CCClass.E, Constraint(lower=0))]
+    )
+    txn = txn_in_state(engine, state)
+    verb, admit = ADMISSION_CALLS[call]
+    if state == "reading" or (state == "disconnected" and call == "submit_write_set"):
+        admit(engine, txn)
+        return
+    if state == "waiting":
+        message = f"txn {txn.txn_id} still waits on p"
+    else:
+        message = f"txn {txn.txn_id} cannot {verb} in phase Phase.{state.upper()}"
+    with pytest.raises(PhaseError) as raised:
+        admit(engine, txn)
+    assert str(raised.value) == message

@@ -251,3 +251,13 @@ def test_scenario_trace_replays_the_expected_history_shape():
             (txn_id, "w"),
             (txn_id, "c"),
         ]
+
+
+def test_termination_records_are_immutable_and_hashable():
+    records = run_experiment(
+        EpochProfile(lambdas=(60.0, 60.0), dt_min_ms=50, dt_max_ms=500, seed=1),
+        AdaptationConfig(gamma=0.9, delta=0.05),
+    ).events
+    assert len({hash(r) for r in records}) == len(records)
+    assert all(isinstance(r.queue_snapshots, tuple) for r in records)
+    assert any(r.queue_snapshots for r in records), "no lock was released with a queue"

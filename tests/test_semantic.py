@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptivecc.semantic import EscrowLedger, reconcile_commit
 from adaptivecc.store import CCClass, Constraint, ConstraintViolationError, Store
@@ -228,3 +230,127 @@ def test_escrow_decisions_match_oracle_randomized():
             if txn in committed and ledger.granted_delta("x", txn) is not None:
                 ledger.commit("x", txn)
                 assert constraint.satisfied(store.read_committed("x")[0])
+
+
+# -- differential against the copying ledger -----------------------------------
+
+
+class OracleEscrowLedger:
+    """The ledger before its request stopped copying the item's reservations:
+    it rebuilds the dict from a copy of the others, requester last."""
+
+    def __init__(self, store):
+        self._store = store
+        self._pending = {}
+
+    def granted_delta(self, item_id, txn_id):
+        return self._pending.get(item_id, {}).get(txn_id)
+
+    def grants_of(self, txn_id):
+        return tuple(sorted(i for i, g in self._pending.items() if txn_id in g))
+
+    def _feasible(self, item_id, pending, delta):
+        item = self._store.item(item_id)
+        constraint = item.constraint
+        if constraint is None:
+            return True
+        values = list(pending.values())
+        worst_low = item.committed_value + sum(d for d in values if d < 0) + min(delta, 0.0)
+        worst_high = item.committed_value + sum(d for d in values if d > 0) + max(delta, 0.0)
+        return constraint.satisfied(worst_low) and constraint.satisfied(worst_high)
+
+    def request(self, item_id, txn_id, delta):
+        pending = self._pending.setdefault(item_id, {})
+        others = {t: d for t, d in pending.items() if t != txn_id}
+        if not self._feasible(item_id, others, delta):
+            if not pending:
+                self._pending.pop(item_id, None)
+            return False
+        pending.clear()
+        pending.update(others)
+        pending[txn_id] = delta
+        return True
+
+    def commit(self, item_id, txn_id):
+        pending = self._pending.get(item_id, {})
+        if txn_id not in pending:
+            raise LookupError(f"txn {txn_id} holds no escrow grant on {item_id}")
+        delta = pending.pop(txn_id)
+        if not pending:
+            self._pending.pop(item_id, None)
+        item = self._store.item(item_id)
+        new_value = item.committed_value + delta
+        self._store.install_version(item_id, new_value)
+        return new_value
+
+    def release(self, item_id, txn_id):
+        pending = self._pending.get(item_id)
+        if pending is not None:
+            pending.pop(txn_id, None)
+            if not pending:
+                self._pending.pop(item_id, None)
+
+    def release_all(self, txn_id):
+        for item_id in self.grants_of(txn_id):
+            self.release(item_id, txn_id)
+
+
+ESCROW_ITEMS = ("x", "y")
+ESCROW_TXNS = range(4)
+# the randomized oracle test's deltas plus non-integers whose float sums
+# depend on the order in which the reservations are added up
+ESCROW_DELTAS = (-7, -4, -3, -1, 0, 2, 5, 8, -2.5, -0.3, 0.1, 0.7, 1.5)
+
+
+@st.composite
+def escrow_items(draw):
+    constraint = Constraint(
+        lower=draw(st.sampled_from([None, 0, -5, 3])),
+        upper=draw(st.sampled_from([None, 20, 30])),
+        strict_lower=draw(st.booleans()),
+        strict_upper=draw(st.booleans()),
+    )
+    value = draw(st.integers(0, 15).filter(constraint.satisfied))
+    return value, constraint
+
+
+txn_ids = st.sampled_from(ESCROW_TXNS)
+item_ids = st.sampled_from(ESCROW_ITEMS)
+escrow_ops = st.one_of(
+    st.tuples(st.just("request"), item_ids, txn_ids, st.sampled_from(ESCROW_DELTAS)),
+    st.tuples(st.just("release"), item_ids, txn_ids),
+    st.tuples(st.just("commit"), item_ids, txn_ids),
+    st.tuples(st.just("release_all"), txn_ids),
+)
+
+
+def apply_escrow_op(ledger, op):
+    name, *args = op
+    try:
+        return getattr(ledger, name)(*args)
+    except LookupError:
+        return LookupError
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(escrow_items(), min_size=2, max_size=2), st.lists(escrow_ops, max_size=40))
+def test_escrow_ledger_matches_copying_oracle(items, ops):
+    stores = []
+    for _ in range(2):
+        store = Store()
+        for item_id, (value, constraint) in zip(ESCROW_ITEMS, items):
+            store.create_item(item_id, value, CCClass.E, constraint)
+        stores.append(store)
+    ledger, oracle = EscrowLedger(stores[0]), OracleEscrowLedger(stores[1])
+    for step, op in enumerate(ops):
+        assert apply_escrow_op(ledger, op) == apply_escrow_op(oracle, op), (step, op)
+        for item_id in ESCROW_ITEMS:
+            for txn_id in ESCROW_TXNS:
+                assert ledger.granted_delta(item_id, txn_id) == oracle.granted_delta(
+                    item_id, txn_id
+                ), (step, op, item_id, txn_id)
+            assert stores[0].read_committed(item_id) == stores[1].read_committed(item_id)
+        # same reservations in the same order, so the same float sums
+        assert {i: list(g.items()) for i, g in ledger._pending.items()} == {
+            i: list(g.items()) for i, g in oracle._pending.items()
+        }, (step, op)
