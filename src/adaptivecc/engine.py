@@ -18,10 +18,18 @@ fires when the lock is granted (or the item is flushed back to optimistic
 control).  Continuations must not re-enter the engine synchronously;
 schedule follow-up work instead.  Submissions and commits complete within
 the calling event.  Termination fans out to registered sinks, which is
-where the adaptation controller and metrics collection hook in.  Every
-sink runs even when an earlier one raises; the first error is re-raised
-once all have run, after the transaction has terminated and its locks and
-reservations have been passed on.
+where the adaptation controller and metrics collection hook in.  A
+termination passes every released lock on and wakes every new holder, then
+runs every sink, even when a continuation or an earlier sink raises; the
+first error is re-raised once all have run.
+
+The engine is single-threaded: the engine, its lock manager and its escrow
+ledger take no locks, and all calls into one engine must come from one
+thread (the harness drives it from one discrete-event loop).  Only the
+``Store`` keeps a mutex: used directly, from several threads, its installs
+stay atomic per item.  The records the engine hands out (read outcomes,
+read records, write intents, termination records) are immutable named
+tuples, cheap to build on every operation.
 
 Read-only transactions never lock or reserve and always commit; each of
 their reads is served from the latest committed state, so a multi-item
@@ -30,11 +38,10 @@ read-only transaction is not conflict-ordered against updaters.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import sg
 from .locks import AcquireStatus, LockManager
@@ -79,8 +86,7 @@ class IntentError(EngineError):
     pass
 
 
-@dataclass(frozen=True)
-class ReadOutcome:
+class ReadOutcome(NamedTuple):
     status: ReadStatus
     value: object = None
     version: int = 0
@@ -88,16 +94,14 @@ class ReadOutcome:
     abort_reason: Optional[AbortReason] = None
 
 
-@dataclass(frozen=True)
-class ReadRecord:
+class ReadRecord(NamedTuple):
     value: object
     version: int
     class_at_read: CCClass
     escrow: bool = False
 
 
-@dataclass(frozen=True)
-class WriteIntent:
+class WriteIntent(NamedTuple):
     """Absolute replacement for O/P items, delta for R/E items."""
 
     kind: str  # "absolute" | "delta"
@@ -133,8 +137,7 @@ class Txn:
         return self.phase in (Phase.COMMITTED, Phase.ABORTED)
 
 
-@dataclass(frozen=True)
-class TerminationRecord:
+class TerminationRecord(NamedTuple):
     """One terminated transaction: the payload of the termination lane.
 
     The controller, the metrics and ``terminations.csv`` all read this one
@@ -188,7 +191,6 @@ class Engine:
         self.clock = clock or _wall_clock_ms
         self.trace: list[sg.ScheduleEvent] = []
         self.termination_sinks: list[Callable[[TerminationRecord], None]] = []
-        self._mutex = threading.RLock()
         self._next_txn_id = 1
         self._active: dict[int, Txn] = {}
 
@@ -209,11 +211,10 @@ class Engine:
     # -- lifecycle ---------------------------------------------------------
 
     def begin(self, read_only: bool = False) -> Txn:
-        with self._mutex:
-            txn = Txn(self._next_txn_id, read_only, arrival_ms=self.clock())
-            self._next_txn_id += 1
-            self._active[txn.txn_id] = txn
-            return txn
+        txn = Txn(self._next_txn_id, read_only, arrival_ms=self.clock())
+        self._next_txn_id += 1
+        self._active[txn.txn_id] = txn
+        return txn
 
     def read(
         self,
@@ -228,25 +229,24 @@ class Engine:
         continuation then fires at grant time with the value read there.
         A wait that would deadlock aborts this transaction instead.
         """
-        with self._mutex:
-            self._admit(txn, "read")
-            if item_id in txn.read_set:
-                rec = txn.read_set[item_id]
-                return ReadOutcome(ReadStatus.DONE, rec.value, rec.version)
-            item = self.store.item(item_id)
-            if item.current_class is CCClass.P and not txn.read_only:
-                status = self.locks.acquire(txn.txn_id, item_id)
-                if status is AcquireStatus.QUEUED:
-                    txn.waiting_on = item_id
-                    txn._pending_cb = on_complete
-                    return ReadOutcome(ReadStatus.WAITING)
-                if status is AcquireStatus.DEADLOCK_REFUSED:
-                    self._terminate(txn, Phase.ABORTED, AbortReason.DEADLOCK)
-                    return ReadOutcome(
-                        ReadStatus.ABORTED, abort_reason=AbortReason.DEADLOCK
-                    )
-                self._emit(txn.txn_id, sg.LOCK, item_id, "P")
-            return self._record_read(txn, item_id)
+        self._admit(txn, "read")
+        if item_id in txn.read_set:
+            rec = txn.read_set[item_id]
+            return ReadOutcome(ReadStatus.DONE, rec.value, rec.version)
+        item = self.store.item(item_id)
+        if item.current_class is CCClass.P and not txn.read_only:
+            status = self.locks.acquire(txn.txn_id, item_id)
+            if status is AcquireStatus.QUEUED:
+                txn.waiting_on = item_id
+                txn._pending_cb = on_complete
+                return ReadOutcome(ReadStatus.WAITING)
+            if status is AcquireStatus.DEADLOCK_REFUSED:
+                self._terminate(txn, Phase.ABORTED, AbortReason.DEADLOCK)
+                return ReadOutcome(
+                    ReadStatus.ABORTED, abort_reason=AbortReason.DEADLOCK
+                )
+            self._emit(txn.txn_id, sg.LOCK, item_id, "P")
+        return self._record_read(txn, item_id)
 
     def read_escrow(
         self, txn: Txn, item_id: str, intended_delta: float
@@ -256,19 +256,18 @@ class Engine:
         A granted reservation guarantees the later commit of that delta; a
         refusal aborts the transaction with reason CONSTRAINT.
         """
-        with self._mutex:
-            self._admit(txn, "read")
-            if txn.read_only:
-                raise IntentError("read-only transactions reserve nothing")
-            item = self.store.item(item_id)
-            if item.current_class is not CCClass.E:
-                raise IntentError(f"{item_id} is not escrow-controlled")
-            if not self.escrow.request(item_id, txn.txn_id, intended_delta):
-                self._terminate(txn, Phase.ABORTED, AbortReason.CONSTRAINT)
-                return ReadOutcome(
-                    ReadStatus.ABORTED, abort_reason=AbortReason.CONSTRAINT
-                )
-            return self._record_read(txn, item_id, escrow=True)
+        self._admit(txn, "read")
+        if txn.read_only:
+            raise IntentError("read-only transactions reserve nothing")
+        item = self.store.item(item_id)
+        if item.current_class is not CCClass.E:
+            raise IntentError(f"{item_id} is not escrow-controlled")
+        if not self.escrow.request(item_id, txn.txn_id, intended_delta):
+            self._terminate(txn, Phase.ABORTED, AbortReason.CONSTRAINT)
+            return ReadOutcome(
+                ReadStatus.ABORTED, abort_reason=AbortReason.CONSTRAINT
+            )
+        return self._record_read(txn, item_id, escrow=True)
 
     def _record_read(self, txn: Txn, item_id: str, escrow: bool = False) -> ReadOutcome:
         item = self.store.item(item_id)
@@ -286,28 +285,27 @@ class Engine:
 
     def submit_write_set(self, txn: Txn, writes: dict[str, WriteIntent]) -> None:
         """Hand in the complete write set; every target must have been read."""
-        with self._mutex:
-            self._admit(txn, "write", (Phase.READING, Phase.DISCONNECTED))
-            if txn.read_only and writes:
-                raise IntentError("read-only transaction submitted writes")
-            for item_id, intent in writes.items():
-                rec = txn.read_set.get(item_id)
-                if rec is None:
-                    raise BlindWriteError(f"{item_id} was not read by txn {txn.txn_id}")
-                if rec.class_at_read in (CCClass.R, CCClass.E):
-                    if intent.kind != "delta":
-                        raise IntentError(f"{item_id} ({rec.class_at_read}) needs a delta")
-                    if rec.class_at_read is CCClass.E:
-                        granted = self.escrow.granted_delta(item_id, txn.txn_id)
-                        if granted is None or granted != intent.amount:
-                            raise IntentError(
-                                f"{item_id}: delta {intent.amount} has no matching reservation"
-                            )
-                elif intent.kind != "absolute":
-                    raise IntentError(f"{item_id} ({rec.class_at_read}) needs an absolute value")
-            txn.write_set = dict(writes)
-            txn.write_submit_ms = self.clock()
-            txn.phase = Phase.WRITING
+        self._admit(txn, "write", (Phase.READING, Phase.DISCONNECTED))
+        if txn.read_only and writes:
+            raise IntentError("read-only transaction submitted writes")
+        for item_id, intent in writes.items():
+            rec = txn.read_set.get(item_id)
+            if rec is None:
+                raise BlindWriteError(f"{item_id} was not read by txn {txn.txn_id}")
+            if rec.class_at_read in (CCClass.R, CCClass.E):
+                if intent.kind != "delta":
+                    raise IntentError(f"{item_id} ({rec.class_at_read}) needs a delta")
+                if rec.class_at_read is CCClass.E:
+                    granted = self.escrow.granted_delta(item_id, txn.txn_id)
+                    if granted is None or granted != intent.amount:
+                        raise IntentError(
+                            f"{item_id}: delta {intent.amount} has no matching reservation"
+                        )
+            elif intent.kind != "absolute":
+                raise IntentError(f"{item_id} ({rec.class_at_read}) needs an absolute value")
+        txn.write_set = dict(writes)
+        txn.write_submit_ms = self.clock()
+        txn.phase = Phase.WRITING
 
     def commit_pipeline(self, txn: Txn) -> tuple[Phase, Optional[AbortReason]]:
         """Run the atomic commit sequence; all items install or none do.
@@ -318,17 +316,16 @@ class Engine:
         reclassification rule for items that changed class mid-flight, and
         only then the per-item installs in canonical id order.
         """
-        with self._mutex:
-            if txn.phase is not Phase.WRITING:
-                raise PhaseError(f"txn {txn.txn_id} cannot commit in phase {txn.phase}")
-            if not txn.read_only:
-                reason = self._validate(txn)
-                if reason is not None:
-                    self._terminate(txn, Phase.ABORTED, reason)
-                    return Phase.ABORTED, reason
-                self._apply(txn)
-            self._terminate(txn, Phase.COMMITTED, None)
-            return Phase.COMMITTED, None
+        if txn.phase is not Phase.WRITING:
+            raise PhaseError(f"txn {txn.txn_id} cannot commit in phase {txn.phase}")
+        if not txn.read_only:
+            reason = self._validate(txn)
+            if reason is not None:
+                self._terminate(txn, Phase.ABORTED, reason)
+                return Phase.ABORTED, reason
+            self._apply(txn)
+        self._terminate(txn, Phase.COMMITTED, None)
+        return Phase.COMMITTED, None
 
     def _validate(self, txn: Txn) -> Optional[AbortReason]:
         # Semantic constraints: R deltas against the latest committed state,
@@ -396,11 +393,10 @@ class Engine:
 
     def abort(self, txn: Txn) -> bool:
         """Abort from any non-terminal phase; a no-op on terminated txns."""
-        with self._mutex:
-            if txn.terminated:
-                return False
-            self._terminate(txn, Phase.ABORTED, None)
-            return True
+        if txn.terminated:
+            return False
+        self._terminate(txn, Phase.ABORTED, None)
+        return True
 
     def _terminate(self, txn: Txn, phase: Phase, reason: Optional[AbortReason]) -> None:
         txn.phase = phase
@@ -412,12 +408,11 @@ class Engine:
             self._emit(txn.txn_id, sg.ABORT, "", reason.value if reason else "")
         txn.waiting_on = None  # release_all withdraws the queued request
         txn._pending_cb = None
-        snapshots = tuple((i, self.locks.queue_len(i)) for i in self.locks.held_by(txn.txn_id))
-        _, grants = self.locks.release_all(txn.txn_id)
+        held = self.locks.held_by(txn.txn_id)
+        snapshots = tuple((i, self.locks.queue_len(i)) for i in held)
+        _, grants = self.locks.release_all(txn.txn_id, held)
         self.escrow.release_all(txn.txn_id)
         self._active.pop(txn.txn_id, None)
-        for grant in grants:
-            self._complete_grant(grant.item_id, grant.txn_id)
         record = TerminationRecord(
             txn_id=txn.txn_id,
             outcome="commit" if phase is Phase.COMMITTED else "abort",
@@ -430,7 +425,15 @@ class Engine:
             queue_snapshots=snapshots,
             service_ms=txn.service_ms,
         )
+        # A raising continuation or sink stops neither the other grants nor
+        # the other sinks; the first error surfaces once all have run.
         error: Optional[Exception] = None
+        for grant in grants:
+            try:
+                self._complete_grant(grant.item_id, grant.txn_id)
+            except Exception as exc:
+                if error is None:
+                    error = exc
         for sink in self.termination_sinks:
             try:
                 sink(record)
@@ -468,14 +471,22 @@ class Engine:
 
         Moving to O flushes the lock wait queue: every waiter completes its
         read optimistically at the switch instant (the current holder keeps
-        its lock, and with it the guarantee for its pending write).
+        its lock, and with it the guarantee for its pending write).  Every
+        waiter is woken even when a continuation raises; the first error is
+        re-raised after the flush.
         """
-        with self._mutex:
-            item = self.store.item(item_id)
-            was = item.current_class
-            self.store.set_current_class(item_id, to_class)
-            if was is CCClass.P and to_class is CCClass.O:
-                for txn_id in self.locks.drain_queue(item_id):
-                    txn = self._active.get(txn_id)
-                    if txn is not None and txn.waiting_on == item_id:
+        item = self.store.item(item_id)
+        was = item.current_class
+        self.store.set_current_class(item_id, to_class)
+        if was is CCClass.P and to_class is CCClass.O:
+            error: Optional[Exception] = None
+            for txn_id in self.locks.drain_queue(item_id):
+                txn = self._active.get(txn_id)
+                if txn is not None and txn.waiting_on == item_id:
+                    try:
                         self._wake(txn, item_id)
+                    except Exception as exc:
+                        if error is None:
+                            error = exc
+            if error is not None:
+                raise error

@@ -12,18 +12,31 @@ Transaction templates are class-agnostic: an access declares the item and
 an optional update delta, and the item's current class picks the
 mechanism (escrow reservation on E, delta reconciliation on R, absolute
 write under lock or validation on P/O).
+
+A replay runs with the cyclic garbage collector paused and restores the
+caller's collector state when it ends.  This is safe because a replay
+makes no cyclic garbage: records are tuples, each session builds one
+resume continuation, and the engine's clock closes over the scheduler, not
+the runner.  Reference counting frees everything a replay drops, so a
+collector pass would only walk the run's live objects.  Without a
+controller, a dropped runner is freed by reference counting too; with one,
+engine and controller refer to each other and wait for the collector.
+``tests/test_harness.py`` pins this by finding no unreachable objects after
+a deck replay run without the collector.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Generator, Optional
 
 from . import metrics, sg
 from .adaptation import AdaptationConfig, AdaptEvent, Controller, Mode
-from .engine import Engine, ReadStatus, TerminationRecord, Txn, WriteIntent
+from .engine import Engine, ReadOutcome, ReadStatus, TerminationRecord, Txn, WriteIntent
 from .metrics import Summary, TimeWindowRow
 from .simclock import Scheduler
 from .store import CCClass, Constraint, Store
@@ -248,7 +261,8 @@ class ExperimentRunner:
         self.rng = random.Random(profile.seed)
         self.scheduler = Scheduler(paced=paced)
         self.store = store or build_store(profile.template, engine_mode == "si_only")
-        self.engine = Engine(self.store, clock=lambda: self.scheduler.now_ms)
+        scheduler = self.scheduler  # the clock must not hold the runner
+        self.engine = Engine(self.store, clock=lambda: scheduler.now_ms)
         self.adapt_events: list[AdaptEvent] = []
         self.controller: Optional[Controller] = None
         # si_only: every item in O, whole read sets validated backward, no adaptation.
@@ -305,6 +319,7 @@ class ExperimentRunner:
         self, txn: Txn, template: TxnTemplate, dt_ms: float
     ) -> Generator[tuple, object, None]:
         engine = self.engine
+        resume = partial(self._resume, txn.txn_id)
         for access in template.accesses:
             current = self.store.item(access.item).current_class
             if (
@@ -314,7 +329,6 @@ class ExperimentRunner:
             ):
                 outcome = engine.read_escrow(txn, access.item, access.delta)
             else:
-                resume = self._resumer(txn)
                 outcome = engine.read(txn, access.item, on_complete=resume)
                 if outcome.status is ReadStatus.WAITING:
                     outcome = yield _WAIT
@@ -345,14 +359,9 @@ class ExperimentRunner:
         engine.submit_write_set(txn, writes)
         engine.commit_pipeline(txn)
 
-    def _resumer(self, txn: Txn):
-        def resume(outcome) -> None:
-            # Re-enter the session on a fresh event, never synchronously.
-            self.scheduler.call_at(
-                self.scheduler.now_ms, lambda: self._advance(txn.txn_id, outcome)
-            )
-
-        return resume
+    def _resume(self, txn_id: int, outcome: ReadOutcome) -> None:
+        # Re-enter the session on a fresh event, never synchronously.
+        self.scheduler.call_at(self.scheduler.now_ms, partial(self._advance, txn_id, outcome))
 
     def _spawn(self, template: TxnTemplate, dt_ms: float) -> None:
         self._spawn_remaining -= 1
@@ -374,7 +383,7 @@ class ExperimentRunner:
             self._active -= 1
             return
         if command[0] == "sleep":
-            self.scheduler.call_later(command[1], lambda: self._advance(txn_id, None))
+            self.scheduler.call_later(command[1], partial(self._advance, txn_id, None))
         # "wait": the engine continuation resumes the session later.
 
     # -- measurement --------------------------------------------------------
@@ -395,12 +404,19 @@ class ExperimentRunner:
     # -- top level -----------------------------------------------------------
 
     def run(self, out_dir: Optional[str] = None) -> ExperimentResult:
+        collecting = gc.isenabled()
+        gc.disable()  # see the module docstring
+        try:
+            return self._run(out_dir)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _run(self, out_dir: Optional[str]) -> ExperimentResult:
         plan = self._plan()
         self._spawn_remaining = len(plan)
         for when, template, dt in plan:
-            self.scheduler.call_at(
-                when, lambda tpl=template, d=dt: self._spawn(tpl, d)
-            )
+            self.scheduler.call_at(when, partial(self._spawn, template, dt))
         self.scheduler.call_later(self.tw_ms, self._boundary)
         self.scheduler.run()
         if self._active or self._spawn_remaining:

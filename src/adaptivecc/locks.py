@@ -4,8 +4,8 @@ Locks are acquired at read time and held until the owning transaction
 terminates.  A request that cannot be granted joins a FIFO wait queue
 unless queueing would close a cycle in the waits-for relation, in which
 case the request is refused and the caller is expected to abort the
-requester.  All mutations happen under one internal mutex, mirroring a
-dedicated graph-maintenance lane.
+requester.  The manager is single-threaded, like the engine that owns it,
+and takes no locks of its own.
 
 A transaction waits on at most one item: a queued transaction is
 suspended until it is granted, withdrawn or drained.  Each waiter's
@@ -17,17 +17,17 @@ that chain, at O(chain) cost, instead of searching the whole graph.  A
 per-transaction wait index (txn -> the item it waits on) serves the walk
 and lets ``release_all`` withdraw from the one queue the transaction is
 in, instead of probing every queue; ``withdraw`` still removes from the
-middle of that queue in O(queue).  ``wfg_edges`` builds the full
-waits-for graph for diagnostics and tests only.
+middle of that queue in O(queue).  A per-transaction held-lock index
+(txn -> the items it holds) makes ``held_by`` and ``release_all`` cost
+O(own locks), however many locks other transactions hold.  ``wfg_edges``
+builds the full waits-for graph for diagnostics and tests only.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class AcquireStatus(Enum):
@@ -40,8 +40,7 @@ class LockError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(NamedTuple):
     """Emitted by release when a queued waiter becomes the holder.
 
     ``queue_len_at_release`` counts the transactions still waiting when the
@@ -56,13 +55,14 @@ class Grant:
 
 
 class LockManager:
-    """Per-item exclusive lock table plus a per-transaction wait index."""
+    """Per-item exclusive lock table plus per-transaction held and wait
+    indexes."""
 
     def __init__(self) -> None:
         self._holders: dict[str, int] = {}
         self._queues: dict[str, deque[int]] = {}
+        self._held: dict[int, set[str]] = {}  # txn -> the items it holds
         self._waiting: dict[int, str] = {}  # txn -> the one item it waits on
-        self._mutex = threading.RLock()
 
     # -- queries ---------------------------------------------------------
 
@@ -76,7 +76,8 @@ class LockManager:
         return len(self._queues.get(item_id, ()))
 
     def held_by(self, txn_id: int) -> tuple[str, ...]:
-        return tuple(sorted(i for i, t in self._holders.items() if t == txn_id))
+        """The items ``txn_id`` holds, in canonical (sorted) order."""
+        return tuple(sorted(self._held.get(txn_id, ())))
 
     def wfg_edges(self) -> set[tuple[int, int]]:
         """Waits-for edges: each waiter waits for the holder and everyone
@@ -125,90 +126,95 @@ class LockManager:
         A transaction waits on at most one item; queueing a transaction
         that already waits elsewhere raises LockError (unless that wait
         would deadlock, which is refused as usual)."""
-        with self._mutex:
-            holder = self._holders.get(item_id)
-            if holder is None:
-                self._holders[item_id] = txn_id
-                return AcquireStatus.GRANTED
-            if holder == txn_id:
-                return AcquireStatus.GRANTED  # re-entrant
-            own_wait = self._waiting.get(txn_id)
-            if own_wait == item_id:
-                raise LockError(f"txn {txn_id} already queued on {item_id}")
-            if self._would_deadlock(txn_id, item_id):
-                return AcquireStatus.DEADLOCK_REFUSED
-            if own_wait is not None:
-                raise LockError(
-                    f"txn {txn_id} already waits on {own_wait}; "
-                    "a transaction waits on at most one item"
-                )
-            self._queues.setdefault(item_id, deque()).append(txn_id)
-            self._waiting[txn_id] = item_id
-            return AcquireStatus.QUEUED
+        holder = self._holders.get(item_id)
+        if holder is None:
+            self._holders[item_id] = txn_id
+            self._held.setdefault(txn_id, set()).add(item_id)
+            return AcquireStatus.GRANTED
+        if holder == txn_id:
+            return AcquireStatus.GRANTED  # re-entrant
+        own_wait = self._waiting.get(txn_id)
+        if own_wait == item_id:
+            raise LockError(f"txn {txn_id} already queued on {item_id}")
+        if self._would_deadlock(txn_id, item_id):
+            return AcquireStatus.DEADLOCK_REFUSED
+        if own_wait is not None:
+            raise LockError(
+                f"txn {txn_id} already waits on {own_wait}; "
+                "a transaction waits on at most one item"
+            )
+        self._queues.setdefault(item_id, deque()).append(txn_id)
+        self._waiting[txn_id] = item_id
+        return AcquireStatus.QUEUED
 
     def release(self, txn_id: int, item_id: str) -> Optional[Grant]:
         """Hand the lock to the queue head, if any. Returns the grant made."""
-        with self._mutex:
-            if self._holders.get(item_id) != txn_id:
-                raise LockError(f"txn {txn_id} does not hold {item_id}")
-            queue = self._queues.get(item_id)
-            if not queue:
-                del self._holders[item_id]
-                self._queues.pop(item_id, None)
-                return None
-            queue_len = len(queue)
-            next_holder = queue.popleft()
-            if not queue:
-                self._queues.pop(item_id, None)
-            del self._waiting[next_holder]
-            self._holders[item_id] = next_holder
-            return Grant(item_id, next_holder, queue_len)
+        if self._holders.get(item_id) != txn_id:
+            raise LockError(f"txn {txn_id} does not hold {item_id}")
+        held = self._held[txn_id]
+        held.remove(item_id)
+        if not held:
+            del self._held[txn_id]
+        queue = self._queues.get(item_id)
+        if not queue:
+            del self._holders[item_id]
+            self._queues.pop(item_id, None)
+            return None
+        queue_len = len(queue)
+        next_holder = queue.popleft()
+        if not queue:
+            self._queues.pop(item_id, None)
+        del self._waiting[next_holder]
+        self._holders[item_id] = next_holder
+        self._held.setdefault(next_holder, set()).add(item_id)
+        return Grant(item_id, next_holder, queue_len)
 
     def withdraw(self, txn_id: int, item_id: str) -> bool:
         """Remove a queued (not granted) request; its WFG edges vanish."""
-        with self._mutex:
-            if self._waiting.get(txn_id) != item_id:
-                return False
-            del self._waiting[txn_id]
-            queue = self._queues[item_id]
-            queue.remove(txn_id)
-            if not queue:
-                del self._queues[item_id]
-            return True
+        if self._waiting.get(txn_id) != item_id:
+            return False
+        del self._waiting[txn_id]
+        queue = self._queues[item_id]
+        queue.remove(txn_id)
+        if not queue:
+            del self._queues[item_id]
+        return True
 
-    def release_all(self, txn_id: int) -> tuple[int, list[Grant]]:
+    def release_all(
+        self, txn_id: int, held: Optional[tuple[str, ...]] = None
+    ) -> tuple[int, list[Grant]]:
         """Termination path: drop every hold (canonical order) and the queued
-        request of the transaction. Returns (locks released, grants made)."""
-        with self._mutex:
-            grants: list[Grant] = []
-            released = 0
-            for item_id in self.held_by(txn_id):
-                grant = self.release(txn_id, item_id)
-                released += 1
-                if grant is not None:
-                    grants.append(grant)
-            waits_on = self._waiting.get(txn_id)
-            if waits_on is not None:
-                self.withdraw(txn_id, waits_on)
-            return released, grants
+        request of the transaction. Returns (locks released, grants made).
+
+        ``held`` is ``held_by(txn_id)`` when the caller has already read it.
+        """
+        if held is None:
+            held = self.held_by(txn_id)
+        grants: list[Grant] = []
+        for item_id in held:
+            grant = self.release(txn_id, item_id)
+            if grant is not None:
+                grants.append(grant)
+        waits_on = self._waiting.get(txn_id)
+        if waits_on is not None:
+            self.withdraw(txn_id, waits_on)
+        return len(held), grants
 
     def drain_queue(self, item_id: str) -> list[int]:
         """Empty an item's wait queue without granting (used when the item
         leaves class P); the current holder keeps its lock."""
-        with self._mutex:
-            queue = self._queues.pop(item_id, None)
-            if not queue:
-                return []
-            for waiter in queue:
-                del self._waiting[waiter]
-            return list(queue)
+        queue = self._queues.pop(item_id, None)
+        if not queue:
+            return []
+        for waiter in queue:
+            del self._waiting[waiter]
+        return list(queue)
 
     def dump_lines(self) -> list[str]:
         """Diagnostic dump, one ``item,holder,queue...`` line per locked item."""
-        with self._mutex:
-            lines = []
-            for item_id in sorted(set(self._holders) | set(self._queues)):
-                parts = [item_id, str(self._holders.get(item_id, ""))]
-                parts.extend(str(t) for t in self._queues.get(item_id, ()))
-                lines.append(",".join(parts))
-            return lines
+        lines = []
+        for item_id in sorted(set(self._holders) | set(self._queues)):
+            parts = [item_id, str(self._holders.get(item_id, ""))]
+            parts.extend(str(t) for t in self._queues.get(item_id, ()))
+            lines.append(",".join(parts))
+        return lines

@@ -93,9 +93,9 @@ def aggregate(
     ``samples`` supplies (time, rt_est, class) probes taken at window
     boundaries; ``arrivals`` the spawn timestamps for the cumulative
     arrival counter.  Empty buckets keep counters at zero and carry the
-    previous commit rate forward.
+    previous commit rate forward.  The order of ``events`` does not matter.
     """
-    events = sorted(events, key=lambda e: (e.time_ms, e.txn_id))
+    events = list(events)
     if not events:
         return []
     n_buckets = int(max(e.time_ms for e in events) // tw_ms) + 1

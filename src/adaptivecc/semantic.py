@@ -6,12 +6,12 @@ violation aborts.  Class E validates constraints at read time instead: a
 transaction asks for a reservation of its intended delta, and a grant
 guarantees the later commit cannot fail.  Reservations are tracked as a
 two-sided worst-case interval: pending decrements are tested against the
-lower bound, pending increments against the upper bound.
+lower bound, pending increments against the upper bound.  The ledger is
+single-threaded, like the engine that owns it, and takes no locks.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from .store import ConstraintViolationError, Store
@@ -56,7 +56,6 @@ class EscrowLedger:
     def __init__(self, store: Store) -> None:
         self._store = store
         self._pending: dict[str, dict[int, float]] = {}
-        self._mutex = threading.RLock()
 
     def granted_delta(self, item_id: str, txn_id: int) -> Optional[float]:
         return self._pending.get(item_id, {}).get(txn_id)
@@ -83,39 +82,35 @@ class EscrowLedger:
         Returns True (granted) or False (refused, no state change).  A
         replaced reservation moves to the end of the item's order.
         """
-        with self._mutex:
-            if not self._feasible(item_id, txn_id, delta):
-                return False
-            pending = self._pending.setdefault(item_id, {})
-            pending.pop(txn_id, None)
-            pending[txn_id] = delta
-            return True
+        if not self._feasible(item_id, txn_id, delta):
+            return False
+        pending = self._pending.setdefault(item_id, {})
+        pending.pop(txn_id, None)
+        pending[txn_id] = delta
+        return True
 
     def commit(self, item_id: str, txn_id: int) -> float:
         """Apply the granted delta; cannot violate the constraint by
         construction of the grant. Returns the new committed value."""
-        with self._mutex:
-            pending = self._pending.get(item_id, {})
-            if txn_id not in pending:
-                raise LookupError(f"txn {txn_id} holds no escrow grant on {item_id}")
-            delta = pending.pop(txn_id)
-            if not pending:
-                self._pending.pop(item_id, None)
-            item = self._store.item(item_id)
-            new_value = item.committed_value + delta
-            self._store.install_version(item_id, new_value)
-            return new_value
+        pending = self._pending.get(item_id, {})
+        if txn_id not in pending:
+            raise LookupError(f"txn {txn_id} holds no escrow grant on {item_id}")
+        delta = pending.pop(txn_id)
+        if not pending:
+            self._pending.pop(item_id, None)
+        item = self._store.item(item_id)
+        new_value = item.committed_value + delta
+        self._store.install_version(item_id, new_value)
+        return new_value
 
     def release(self, item_id: str, txn_id: int) -> None:
         """Drop a reservation if present (abort path); widens the interval."""
-        with self._mutex:
-            pending = self._pending.get(item_id)
-            if pending is not None:
-                pending.pop(txn_id, None)
-                if not pending:
-                    self._pending.pop(item_id, None)
+        pending = self._pending.get(item_id)
+        if pending is not None:
+            pending.pop(txn_id, None)
+            if not pending:
+                self._pending.pop(item_id, None)
 
     def release_all(self, txn_id: int) -> None:
-        with self._mutex:
-            for item_id in self.grants_of(txn_id):
-                self.release(item_id, txn_id)
+        for item_id in self.grants_of(txn_id):
+            self.release(item_id, txn_id)

@@ -211,11 +211,10 @@ def find_cycle(graph: SerializationGraph) -> Optional[list[int]]:
 
 
 def write_trace_csv(events: Iterable[ScheduleEvent], outfile: TextIO) -> None:
+    """Write events as given; ``time_ms`` is already an integer stamp."""
     writer = csv.writer(outfile)
     writer.writerow(TRACE_COLUMNS)
-    writerow = writer.writerow
-    for time_ms, txn, op, item, detail in events:
-        writerow((int(time_ms), txn, op, item, detail))
+    writer.writerows(events)
 
 
 def iter_trace_csv(infile: TextIO) -> Iterator[ScheduleEvent]:

@@ -9,10 +9,13 @@ from adaptivecc.engine import (
     IntentError,
     Phase,
     PhaseError,
+    ReadOutcome,
+    ReadRecord,
     ReadStatus,
+    TerminationRecord,
     WriteIntent,
 )
-from adaptivecc.locks import AcquireStatus
+from adaptivecc.locks import AcquireStatus, Grant
 from adaptivecc.sg import build_serialization_graph, find_cycle
 from adaptivecc.store import CCClass, Constraint, Store
 
@@ -548,3 +551,70 @@ def test_admission_matrix(call, state):
     with pytest.raises(PhaseError) as raised:
         admit(engine, txn)
     assert str(raised.value) == message
+
+
+def raising_continuation(message):
+    def resume(_outcome):
+        raise RuntimeError(message)
+
+    return resume
+
+
+def test_raising_continuation_does_not_stop_later_grants_or_the_sinks():
+    engine, _ = make_engine([("x", 0, CCClass.P), ("y", 0, CCClass.P)])
+    records = []
+    engine.termination_sinks[:] = [records.append]
+    holder, on_x, on_y = engine.begin(), engine.begin(), engine.begin()
+    engine.read(holder, "x")
+    engine.read(holder, "y")
+    resumed = []
+    assert engine.read(on_x, "x", raising_continuation("x")).status is ReadStatus.WAITING
+    assert engine.read(on_y, "y", resumed.append).status is ReadStatus.WAITING
+    engine.disconnect(holder)
+    engine.submit_write_set(holder, {"x": WriteIntent.absolute(1), "y": WriteIntent.absolute(2)})
+    with pytest.raises(RuntimeError, match="x"):
+        engine.commit_pipeline(holder)
+    assert holder.phase is Phase.COMMITTED
+    assert [r.txn_id for r in records] == [holder.txn_id]
+    for txn, item, value in ((on_x, "x", 1), (on_y, "y", 2)):
+        assert engine.locks.holder(item) == txn.txn_id
+        assert txn.waiting_on is None
+        assert txn.read_set[item].value == value
+    assert [o.value for o in resumed] == [2]
+
+
+def test_raising_continuation_does_not_stop_the_flush():
+    engine, _ = make_engine([("x", 0, CCClass.O)])
+    engine.reclassify_item("x", CCClass.P)
+    holder, first, second = engine.begin(), engine.begin(), engine.begin()
+    engine.read(holder, "x")
+    resumed = []
+    assert engine.read(first, "x", raising_continuation("first")).status is ReadStatus.WAITING
+    assert engine.read(second, "x", resumed.append).status is ReadStatus.WAITING
+    with pytest.raises(RuntimeError, match="first"):
+        engine.reclassify_item("x", CCClass.O)
+    assert engine.locks.holder("x") == holder.txn_id
+    assert engine.locks.queue_len("x") == 0
+    for txn in (first, second):
+        assert txn.waiting_on is None
+        assert txn.read_set["x"].class_at_read is CCClass.O
+    assert [o.status for o in resumed] == [ReadStatus.DONE]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        ReadOutcome(ReadStatus.DONE, 1, 2),
+        ReadRecord(1, 2, CCClass.O),
+        WriteIntent.absolute(1),
+        WriteIntent.delta(-1),
+        Grant("x", 1, 2),
+        TerminationRecord(1, "commit", None, 0.0, 1.0, 2.0, 3.0, (("x", CCClass.P),), (("x", 1),)),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_records_are_immutable_and_hashable(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    assert hash(record) == hash(type(record)(*record))

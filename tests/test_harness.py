@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -11,6 +12,7 @@ from adaptivecc.harness import (
     EpochProfile,
     TEMPLATE_TPCC_DECK,
     ConfigurationError,
+    ExperimentRunner,
     overload_adaptation_scenario,
     poisson_arrivals,
     run_experiment,
@@ -261,3 +263,34 @@ def test_termination_records_are_immutable_and_hashable():
     assert len({hash(r) for r in records}) == len(records)
     assert all(isinstance(r.queue_snapshots, tuple) for r in records)
     assert any(r.queue_snapshots for r in records), "no lock was released with a queue"
+
+
+def test_deck_replay_leaves_no_cyclic_garbage():
+    # The runner pauses the cyclic collector.  That is memory-neutral only
+    # while a replay, and the runner it leaves behind, make no cycles.
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        runner = ExperimentRunner(
+            EpochProfile(lambdas=(150.0, 150.0), template=TEMPLATE_TPCC_DECK, seed=7)
+        )
+        result = runner.run()
+        assert result.events
+        del runner, result
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_run_restores_the_callers_collector_state():
+    profile = EpochProfile(lambdas=(20.0,), template=TEMPLATE_TPCC_DECK, seed=1)
+    collecting = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            ExperimentRunner(profile).run()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if collecting else gc.disable)()

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import settings
@@ -270,6 +271,11 @@ class LockWalkMachine(RuleBasedStateMachine):
         assert sum(map(len, queues.values())) == len(waiting)
         assert all(self.lm.holder(i) is not None for i, q in queues.items() if q)
         assert self.lm._waiting == waiting
+        held = {}
+        for item, holder in self.lm._holders.items():
+            held.setdefault(holder, set()).add(item)
+        assert self.lm._held == held
+        assert all(self.lm.held_by(t) == tuple(sorted(held.get(t, ()))) for t in range(8))
 
     @invariant()
     def wfg_acyclic(self):
@@ -299,3 +305,22 @@ def test_twenty_thousand_waiters_drain_in_fifo_order():
     assert order == waiters
     assert lm.dump_lines() == []
     assert lm._waiting == {}
+
+
+def test_release_all_cost_is_flat_in_locks_held_by_others():
+    # A terminating txn releases its own lock; the other holders must not
+    # be scanned, so 5000 of them cost what 100 do.
+    def per_call_ns(others):
+        lm = LockManager()
+        for txn in range(others):
+            lm.acquire(txn, f"held{txn}")
+        best = float("inf")
+        for _ in range(7):
+            start = time.perf_counter_ns()
+            for txn in range(others, others + 500):
+                lm.acquire(txn, "own")
+                lm.release_all(txn)
+            best = min(best, time.perf_counter_ns() - start)
+        return best / 500
+
+    assert per_call_ns(5000) < 3 * per_call_ns(100)

@@ -211,3 +211,14 @@ def test_aggregate_empty_bucket_carries_cr_eff():
     assert rows[0].cr == 1.0 and rows[0].cr_eff == 0.5
     # empty bucket 1 carries both rates
     assert rows[1].cr == 1.0 and rows[1].cr_eff == 0.5
+
+
+def test_aggregate_and_summary_ignore_record_order():
+    result = run_experiment(
+        EpochProfile(lambdas=(150.0, 150.0), template=TEMPLATE_TPCC_DECK, seed=7)
+    )
+    shuffled = list(result.events)
+    random.Random(3).shuffle(shuffled)
+    assert shuffled != result.events
+    assert aggregate(shuffled, 100.0) == aggregate(result.events, 100.0)
+    assert summarize(shuffled, result.elapsed_ms) == result.summary
