@@ -4,8 +4,9 @@ Subcommands:
 
 * ``run --config FILE``: execute an experiment described by a line-oriented
   ``key = value`` file and write trace/timeseries/summary CSVs.
-* ``replay-scenario fig7``: replay the scripted hot-item adaptation
-  scenario and print the per-window commit rates and switch events.
+* ``replay-scenario fig7 [--out DIR]``: replay the scripted hot-item
+  adaptation scenario and print the per-window commit rates and switch
+  events; ``--out`` writes the same five CSVs as ``run``.
 * ``classify --manifest FILE``: derive CC classes from a property-vector
   CSV.
 * ``sg-check --trace FILE``: build the serialization graph of a schedule

@@ -6,7 +6,9 @@ uniform random disconnect, write phase), and feeds the adaptation
 controller and metrics collection.  Everything runs on a discrete-event
 clock; identical (profile, config, seed) triples replay byte-identically.
 Pacing the same event stream against the wall clock is available for
-live-throughput demonstrations and changes nothing logically.
+live-throughput demonstrations and changes nothing logically.  The scripted
+overload scenario is the same run with a fixed fifteen-transaction plan in
+place of the Poisson arrivals.
 
 Transaction templates are class-agnostic: an access declares the item and
 an optional update delta, and the item's current class picks the
@@ -18,11 +20,10 @@ caller's collector state when it ends.  This is safe because a replay
 makes no cyclic garbage: records are tuples, each session builds one
 resume continuation, and the engine's clock closes over the scheduler, not
 the runner.  Reference counting frees everything a replay drops, so a
-collector pass would only walk the run's live objects.  Without a
-controller, a dropped runner is freed by reference counting too; with one,
-engine and controller refer to each other and wait for the collector.
-``tests/test_harness.py`` pins this by finding no unreachable objects after
-a deck replay run without the collector.
+collector pass would only walk the run's live objects.  Engine and
+controller refer to each other only until the run ends, so a dropped runner
+is freed by reference counting too.  ``tests/test_harness.py`` pins this by
+finding no unreachable objects after replays run without the collector.
 """
 
 from __future__ import annotations
@@ -237,9 +238,6 @@ class ExperimentResult:
         return trips
 
 
-_WAIT = ("wait",)
-
-
 class ExperimentRunner:
     """Executes one EpochProfile against a fresh store and engine."""
 
@@ -255,6 +253,10 @@ class ExperimentRunner:
     ) -> None:
         if engine_mode not in ("orpe", "si_only"):
             raise ConfigurationError(f"unknown engine_mode {engine_mode!r}")
+        if engine_mode == "si_only" and store is not None:
+            mixed = sorted(i.id for i in store.items() if i.static_class is not CCClass.O)
+            if mixed:
+                raise ConfigurationError(f"si_only needs every item in O: {', '.join(mixed)}")
         self.profile = profile
         self.engine_mode = engine_mode
         self.op_cost_ms = op_cost_ms
@@ -284,7 +286,6 @@ class ExperimentRunner:
         self._watched = adaptable[0] if len(adaptable) == 1 else None
         self.arrivals: list[float] = []
         self._generators: dict[int, Generator] = {}
-        self._active = 0
         self._spawn_remaining = 0
         self._samples: list[tuple[float, float, str]] = []
 
@@ -317,7 +318,8 @@ class ExperimentRunner:
 
     def _session(
         self, txn: Txn, template: TxnTemplate, dt_ms: float
-    ) -> Generator[tuple, object, None]:
+    ) -> Generator[Optional[float], Optional[ReadOutcome], None]:
+        # Yields a delay in virtual ms, or None while a lock grant is due.
         engine = self.engine
         resume = partial(self._resume, txn.txn_id)
         for access in template.accesses:
@@ -331,12 +333,12 @@ class ExperimentRunner:
             else:
                 outcome = engine.read(txn, access.item, on_complete=resume)
                 if outcome.status is ReadStatus.WAITING:
-                    outcome = yield _WAIT
+                    outcome = yield
             if outcome.status is ReadStatus.ABORTED:
                 return
             if self.op_cost_ms > 0:
                 txn.service_ms += self.op_cost_ms
-                yield ("sleep", self.op_cost_ms)
+                yield self.op_cost_ms
         writes: dict[str, WriteIntent] = {}
         if not template.read_only:
             for access in template.accesses:
@@ -351,11 +353,11 @@ class ExperimentRunner:
                     )
         engine.disconnect(txn)
         if dt_ms > 0:
-            yield ("sleep", dt_ms)
+            yield dt_ms
         if writes and self.op_cost_ms > 0:
             cost = self.op_cost_ms * len(writes)
             txn.service_ms += cost
-            yield ("sleep", cost)
+            yield cost
         engine.submit_write_set(txn, writes)
         engine.commit_pipeline(txn)
 
@@ -365,26 +367,19 @@ class ExperimentRunner:
 
     def _spawn(self, template: TxnTemplate, dt_ms: float) -> None:
         self._spawn_remaining -= 1
-        self._active += 1
         self.arrivals.append(self.scheduler.now_ms)
         txn = self.engine.begin(read_only=template.read_only)
-        gen = self._session(txn, template, dt_ms)
-        self._generators[txn.txn_id] = gen
+        self._generators[txn.txn_id] = self._session(txn, template, dt_ms)
         self._advance(txn.txn_id, None)
 
-    def _advance(self, txn_id: int, value: object) -> None:
-        gen = self._generators.get(txn_id)
-        if gen is None:
-            return
+    def _advance(self, txn_id: int, value: Optional[ReadOutcome]) -> None:
         try:
-            command = gen.send(value)
+            delay = self._generators[txn_id].send(value)
         except StopIteration:
             del self._generators[txn_id]
-            self._active -= 1
             return
-        if command[0] == "sleep":
-            self.scheduler.call_later(command[1], partial(self._advance, txn_id, None))
-        # "wait": the engine continuation resumes the session later.
+        if delay is not None:  # None: the engine continuation resumes it
+            self.scheduler.call_later(delay, partial(self._advance, txn_id, None))
 
     # -- measurement --------------------------------------------------------
 
@@ -398,7 +393,7 @@ class ExperimentRunner:
         else:
             cls, rt = "-", 0.0
         self._samples.append((now, rt, cls))
-        if self._spawn_remaining > 0 or self._active > 0:
+        if self._spawn_remaining > 0 or self._generators:
             self.scheduler.call_later(self.tw_ms, self._boundary)
 
     # -- top level -----------------------------------------------------------
@@ -409,6 +404,8 @@ class ExperimentRunner:
         try:
             return self._run(out_dir)
         finally:
+            if self.controller is not None:  # break the engine <-> controller cycle
+                self.engine.termination_sinks.remove(self.controller.on_txn_termination)
             if collecting:
                 gc.enable()
 
@@ -419,7 +416,7 @@ class ExperimentRunner:
             self.scheduler.call_at(when, partial(self._spawn, template, dt))
         self.scheduler.call_later(self.tw_ms, self._boundary)
         self.scheduler.run()
-        if self._active or self._spawn_remaining:
+        if self._generators or self._spawn_remaining:
             raise RuntimeError("experiment ended with unterminated transactions")
         if not self.events:
             raise ConfigurationError("profile spawned no transactions")
@@ -506,8 +503,22 @@ class ScenarioResult:
     events: list[TerminationRecord]
 
 
+class _Fig7Runner(ExperimentRunner):
+    def _plan(self) -> list[tuple[float, TxnTemplate, float]]:
+        # Slots 1-10 arrive at t = slot and write back at these times; slot 9
+        # also debits the ledger.  Five updates without disconnect follow.
+        hot = single_item_template()
+        debit = TxnTemplate("hot_update", (*hot.accesses, Access("ledger", delta=-10)))
+        write_ms = (20.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 115.0, 110.0)
+        plan = [
+            (slot, debit if slot == 9 else hot, when - slot)
+            for slot, when in enumerate(write_ms, start=1)
+        ]
+        return plan + [(when, hot, 0.0) for when in (120.0, 140.0, 160.0, 210.0, 240.0)]
+
+
 def overload_adaptation_scenario(out_dir: Optional[str] = None) -> ScenarioResult:
-    """Scripted ten-transaction overload on one adaptable item.
+    """Scripted fifteen-transaction overload on one adaptable item.
 
     Ten transactions read the hot item optimistically in the first window;
     one commits and seven fail validation, so the window's commit rate is
@@ -516,86 +527,27 @@ def overload_adaptation_scenario(out_dir: Optional[str] = None) -> ScenarioResul
     impossible ledger delta) for its constraint.  Three locked updates lift
     the second window to 3/4 (not enough to switch back) and two more make
     the third window 2/2, which restores optimistic control.
+
+    The script is a plan replayed by ``ExperimentRunner`` over three empty
+    100 ms epochs, so ``out_dir`` receives the usual five CSVs.
     """
-    store = Store()
-    store.create_item(HOT_ITEM, 0, CCClass.O)
+    store = single_item_store()
     store.create_item("ledger", 5, CCClass.R, Constraint(lower=0))
-    scheduler = Scheduler()
-    engine = Engine(store, clock=lambda: scheduler.now_ms)
-    config = AdaptationConfig(gamma=0.8, delta=0.1, tw_ms=100.0)
-    adapt_events: list[AdaptEvent] = []
-    controller = Controller(
-        store,
-        config,
-        reclassify=engine.reclassify_item,
-        event_sink=adapt_events.append,
+    runner = _Fig7Runner(
+        EpochProfile(lambdas=(0.0, 0.0, 0.0), epoch_ms=100.0),
+        AdaptationConfig(gamma=0.8, delta=0.1, tw_ms=100.0),
+        store=store,
+        op_cost_ms=0.0,
     )
-    engine.termination_sinks.append(controller.on_txn_termination)
-
-    events: list[TerminationRecord] = []
-    engine.termination_sinks.append(events.append)
-
-    txns: dict[int, Txn] = {}
-
-    def arrive(slot: int, read_ledger: bool = False) -> None:
-        txn = engine.begin()
-        txns[slot] = txn
-        engine.read(txn, HOT_ITEM)
-        if read_ledger:
-            engine.read(txn, "ledger")
-        engine.disconnect(txn)
-
-    def write_hot(slot: int, extra: Optional[dict[str, WriteIntent]] = None) -> None:
-        txn = txns[slot]
-        record = txn.read_set[HOT_ITEM]
-        writes = {HOT_ITEM: WriteIntent.absolute(record.value + 1)}
-        if extra:
-            writes.update(extra)
-        engine.submit_write_set(txn, writes)
-        engine.commit_pipeline(txn)
-
-    def locked_update(slot: int) -> None:
-        txn = engine.begin()
-        txns[slot] = txn
-        outcome = engine.read(txn, HOT_ITEM)
-        assert outcome.status is ReadStatus.DONE, "scripted reads never queue"
-        engine.disconnect(txn)
-        engine.submit_write_set(
-            txn, {HOT_ITEM: WriteIntent.absolute(outcome.value + 1)}
-        )
-        engine.commit_pipeline(txn)
-
-    window_crs: list[float] = []
-
-    def close_window() -> None:
-        controller.close_window(scheduler.now_ms)
-        window_crs.append(controller.state(HOT_ITEM).cr)
-
-    for slot in range(1, 11):
-        scheduler.call_at(slot, lambda s=slot: arrive(s, read_ledger=(s == 9)))
-    scheduler.call_at(20.0, lambda: write_hot(1))
-    for slot in range(2, 9):
-        scheduler.call_at(25.0 + 10.0 * (slot - 2), lambda s=slot: write_hot(s))
-    scheduler.call_at(100.0, close_window)
-    scheduler.call_at(110.0, lambda: write_hot(10))
-    scheduler.call_at(
-        115.0, lambda: write_hot(9, extra={"ledger": WriteIntent.delta(-10)})
-    )
-    for index, slot in enumerate((11, 12, 13)):
-        scheduler.call_at(120.0 + 20.0 * index, lambda s=slot: locked_update(s))
-    scheduler.call_at(200.0, close_window)
-    for index, slot in enumerate((14, 15)):
-        scheduler.call_at(210.0 + 30.0 * index, lambda s=slot: locked_update(s))
-    scheduler.call_at(300.0, close_window)
-    scheduler.run()
-
+    result = runner.run(out_dir)
     abort_reasons = {
-        slot: (txn.abort_reason.value if txn.abort_reason else None)
-        for slot, txn in txns.items()
+        rec.txn_id: (rec.abort_reason.value if rec.abort_reason else None)
+        for rec in sorted(result.events, key=lambda rec: rec.txn_id)  # id = slot
     }
-    result = ScenarioResult(window_crs, adapt_events, abort_reasons, engine.trace, events)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "trace.csv"), "w", newline="", encoding="utf-8") as fh:
-            sg.write_trace_csv(engine.trace, fh)
-    return result
+    return ScenarioResult(
+        [row.cr for row in result.timeseries],
+        result.adapt_events,
+        abort_reasons,
+        result.schedule,
+        result.events,
+    )

@@ -169,3 +169,9 @@ def test_replay_scenario_writes_trace(tmp_path, capsys):
     out_dir = tmp_path / "replay"
     assert main(["replay-scenario", "fig7", "--out", str(out_dir)]) == 0
     assert main(["sg-check", "--trace", str(out_dir / "trace.csv")]) == 0
+    written = sorted(path.name for path in out_dir.iterdir())
+    assert written == sorted(
+        ["trace.csv", "terminations.csv", "timeseries.csv", "summary.csv", "adaptation.csv"]
+    )
+    lines = (out_dir / "terminations.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 15  # header and one row per scripted transaction

@@ -68,3 +68,12 @@ def test_outputs_match_golden_digests(name, tmp_path):
     }
     differing = sorted(f for f, digest in digests.items() if digest != GOLDEN[name][f])
     assert not differing, f"{name}: {', '.join(differing)} differ from the golden output"
+
+
+# trace.csv of ``adaptivecc replay-scenario fig7 --out``.
+FIG7_TRACE = "97242ddaecb722b2998816a9af4ef6c75c95202ecef62fbe9a1acf02e4c13f45"
+
+
+def test_fig7_trace_matches_golden_digest(tmp_path, capsys):
+    assert cli.main(["replay-scenario", "fig7", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == FIG7_TRACE

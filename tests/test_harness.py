@@ -2,9 +2,11 @@ import gc
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from adaptivecc import cli
 from adaptivecc.adaptation import AdaptationConfig
 from adaptivecc.engine import AbortReason
 from adaptivecc.harness import (
@@ -265,16 +267,31 @@ def test_termination_records_are_immutable_and_hashable():
     assert any(r.queue_snapshots for r in records), "no lock was released with a queue"
 
 
-def test_deck_replay_leaves_no_cyclic_garbage():
+def _demo_controller_runner():
+    demos = Path(__file__).resolve().parent.parent / "demos"
+    conf = (demos / "experiment.conf").read_text(encoding="utf-8")
+    profile, adapt_config, kwargs = cli.build_run(cli.parse_config(conf))
+    del kwargs["out_dir"]
+    return ExperimentRunner(profile, adapt_config, **kwargs)
+
+
+def _deck_runner():
+    return ExperimentRunner(
+        EpochProfile(lambdas=(150.0, 150.0), template=TEMPLATE_TPCC_DECK, seed=7)
+    )
+
+
+@pytest.mark.parametrize(
+    "make_runner", [_deck_runner, _demo_controller_runner], ids=["deck", "controller"]
+)
+def test_deck_replay_leaves_no_cyclic_garbage(make_runner):
     # The runner pauses the cyclic collector.  That is memory-neutral only
     # while a replay, and the runner it leaves behind, make no cycles.
     collecting = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        runner = ExperimentRunner(
-            EpochProfile(lambdas=(150.0, 150.0), template=TEMPLATE_TPCC_DECK, seed=7)
-        )
+        runner = make_runner()
         result = runner.run()
         assert result.events
         del runner, result
@@ -294,3 +311,21 @@ def test_run_restores_the_callers_collector_state():
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if collecting else gc.disable)()
+
+
+def test_si_only_refuses_a_store_with_non_optimistic_items():
+    profile = EpochProfile(lambdas=(50.0,), template=TEMPLATE_TPCC_DECK, seed=1)
+    with pytest.raises(ConfigurationError, match="Customer"):
+        ExperimentRunner(profile, engine_mode="si_only", store=tpcc_store())
+    result = ExperimentRunner(
+        profile, engine_mode="si_only", store=tpcc_store(si_only=True)
+    ).run()
+    assert {ev.op for ev in result.schedule} <= {"r", "w", "c", "a"}  # no locks
+
+
+def test_scenario_switch_rates_match_the_timeseries():
+    result = overload_adaptation_scenario()
+    first, second = result.adapt_events
+    assert first.cr == result.window_crs[0]
+    assert second.cr == result.window_crs[2]
+    assert list(result.abort_reasons) == list(range(1, 16))  # slot order

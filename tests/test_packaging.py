@@ -40,3 +40,20 @@ def test_single_threaded_layers_import_no_threading():
             else:
                 continue
             assert all(name.split(".")[0] != "threading" for name in names), module
+
+
+def test_harness_wires_one_engine_and_controller():
+    # The scripted scenario replays through ExperimentRunner; a second
+    # hand-wired engine/controller/scheduler must not come back.
+    package = Path(adaptivecc.__file__).resolve().parent
+    tree = ast.parse((package / "harness.py").read_text(encoding="utf-8"))
+    calls = [
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert {name: calls.count(name) for name in ("Engine", "Controller", "Scheduler")} == {
+        "Engine": 1,
+        "Controller": 1,
+        "Scheduler": 1,
+    }
