@@ -13,9 +13,10 @@ Subcommands:
   trace and report whether it is acyclic: ``ACYCLIC (N committed txns, M
   edges)``, where M counts the edges between consecutive conflicting
   operations that ``sg.build_serialization_graph`` builds (at most two per
-  O/P read or write), or ``CYCLE: t1 -> ... -> t1``.  The trace is parsed
-  and the graph built in one streaming pass over the file
-  (``sg.iter_trace_csv``), so no list of its rows is kept.
+  O/P read or write), or ``CYCLE: t1 -> ... -> t1``.  The graph is built in
+  one streaming pass over the file's CSV rows (``sg.trace_rows``), which
+  converts only the txn id of each row and keeps no row; ``sg.find_cycle``
+  then decides acyclicity without sorting.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .harness import (
 from .sg import (  # noqa: F401
     build_serialization_graph,
     find_cycle,
-    iter_trace_csv,
     read_trace_csv,
+    trace_rows,
 )
 
 CONFIG_KEYS = {
@@ -175,8 +176,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sg_check(args: argparse.Namespace) -> int:
-    with open(args.trace, encoding="utf-8") as fh:
-        graph = build_serialization_graph(iter_trace_csv(fh))
+    with open(args.trace, newline="", encoding="utf-8") as fh:
+        graph = build_serialization_graph(trace_rows(fh))
     cycle = find_cycle(graph)
     if cycle:
         print("CYCLE: " + " -> ".join(str(t) for t in cycle))

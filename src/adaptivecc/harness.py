@@ -288,6 +288,7 @@ class ExperimentRunner:
         self._generators: dict[int, Generator] = {}
         self._spawn_remaining = 0
         self._samples: list[tuple[float, float, str]] = []
+        self._ran = False
 
     # -- planning ---------------------------------------------------------
 
@@ -399,6 +400,11 @@ class ExperimentRunner:
     # -- top level -----------------------------------------------------------
 
     def run(self, out_dir: Optional[str] = None) -> ExperimentResult:
+        """Replay the profile once; a runner's engine and store are used up
+        by it, so a second call raises RuntimeError."""
+        if self._ran:
+            raise RuntimeError("an ExperimentRunner runs once; build a new one for another run")
+        self._ran = True
         collecting = gc.isenabled()
         gc.disable()  # see the module docstring
         try:

@@ -18,18 +18,22 @@ graph of every conflicting pair (Bernstein, Hadzilacos & Goodman, 1987),
 and the same cycles, with at most two edges per operation instead of one
 per pair.
 
-The graph is built in one pass over any iterable of events, so a trace file
-can be checked straight from ``iter_trace_csv`` without a list of its rows.
-The pass keeps one entry per transaction and one per O/P read or write;
-lock rows and R/E operations cost time but no memory.  A ``ScheduleEvent``
-is a named tuple and compares equal to the plain tuple of its fields.
+The graph is built in one pass over any iterable of five-field rows: the
+``ScheduleEvent``s of an engine trace, or the string rows of a trace CSV as
+``trace_rows`` yields them, so a trace file is checked without a
+``ScheduleEvent`` per row or a list of its rows.  The pass keeps one entry
+per transaction and one per O/P read or write; lock rows and R/E operations
+cost time but no memory.  ``find_cycle`` decides acyclicity with a Kahn pass
+over the transactions that have out-edges and searches for the cycle to
+report only when there is one.  ``ScheduleEvent`` and ``Edge`` are named
+tuples and compare equal to the plain tuples of their fields.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, TextIO
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .store import CCClass
 
@@ -69,8 +73,7 @@ class ScheduleEvent(NamedTuple):
         return None
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: int
     dst: int
     item: str
@@ -90,28 +93,36 @@ class SerializationGraph:
 
 
 def build_serialization_graph(
-    events: Iterable[ScheduleEvent],
+    events: Iterable[Sequence],
     classes: Optional[dict[str, CCClass]] = None,
 ) -> SerializationGraph:
     """Build the serialization graph of a complete history.
 
-    One pass over ``events`` (any iterable, consumed once) records each
-    transaction's termination and, per item, the ``(txn, op)`` of every
-    O/P read and write; R/E operations and lock rows leave nothing behind.
-    Afterwards each item's operations of committed transactions are walked
-    in trace order, keeping the last writer and the readers since that
-    write, and only the edges between consecutive conflicting operations
-    are built (see the module docstring).  Memory is proportional to the
-    transactions plus the O/P reads and writes, not to the trace rows.
+    ``events`` is any iterable, consumed once, of ``(time_ms, txn_id, op,
+    item, detail)`` rows: ``ScheduleEvent``s, or the string rows of
+    ``trace_rows``.  Each row's ``txn_id`` is converted with ``int`` and its
+    ``time_ms`` checked with ``int``, so a CSV row parses as it would into a
+    ``ScheduleEvent``: a non-integer cell raises ValueError, a row of fewer
+    than five cells IndexError, and cells past the fifth are ignored.
+
+    One pass records each transaction's termination and, per item, the
+    ``(txn, op)`` of every O/P read and write; R/E operations and lock rows
+    leave nothing behind.  Afterwards each item's operations of committed
+    transactions are walked in trace order, keeping the last writer and the
+    readers since that write, and only the edges between consecutive
+    conflicting operations are built (see the module docstring).  Memory is
+    proportional to the transactions plus the O/P reads and writes, not to
+    the trace rows.
 
     Item classes come from the event details; ``classes`` supplies them for
-    traces that omit the annotation.  Errors, checked in this order: an
-    unknown op raises MalformedHistoryError, then so does any transaction
-    without a terminal commit/abort event; then the first committed read or
-    write in trace order whose class is unknown raises ValueError (a bad
-    letter) or MalformedHistoryError (no annotation and no ``classes``
-    entry).  Operations of aborted transactions are never classified, so a
-    bad class there is not an error.
+    traces that omit the annotation.  Errors, checked in this order: a row
+    that does not parse raises as above, where it stands; then an unknown op
+    raises MalformedHistoryError, then so does any transaction without a
+    terminal commit/abort event; then the first committed read or write in
+    trace order whose class is unknown raises ValueError (a bad letter) or
+    MalformedHistoryError (no annotation and no ``classes`` entry).
+    Operations of aborted transactions are never classified, so a bad class
+    there is not an error.
     """
     terminal: dict[int, Optional[str]] = {}  # txn -> last commit/abort op, None while open
     per_item: dict[str, list[tuple[int, str]]] = {}
@@ -120,7 +131,13 @@ def build_serialization_graph(
     # is trace order, so the first committed entry is the one to report.
     unclassified: dict[int, tuple[str, Optional[str]]] = {}
     unknown_op: Optional[str] = None
-    for _, txn, op, item, detail in events:
+    for row in events:
+        try:
+            time, txn, op, item, detail = row
+        except ValueError:  # a CSV row of other than five cells: as in iter_trace_csv
+            time, txn, op, item, detail = int(row[0]), int(row[1]), row[2], row[3], row[4]
+        int(time)
+        txn = int(txn)
         if op == READ or op == WRITE:
             terminal.setdefault(txn, None)
             _, at, letter = detail.rpartition("@")
@@ -159,6 +176,7 @@ def build_serialization_graph(
         )
 
     graph = SerializationGraph(nodes=committed)
+    add = graph.edges.add
     for item, ops in per_item.items():
         writer: Optional[int] = None
         readers: set[int] = set()  # readers since the last write
@@ -167,24 +185,59 @@ def build_serialization_graph(
                 continue
             if op == READ:
                 if writer is not None and writer != txn:
-                    graph.edges.add(Edge(writer, txn, item, "wr"))
+                    add(Edge(writer, txn, item, "wr"))
                 readers.add(txn)
                 continue
             if writer is not None and writer != txn:
-                graph.edges.add(Edge(writer, txn, item, "ww"))
+                add(Edge(writer, txn, item, "ww"))
             for reader in readers:
                 if reader != txn:
-                    graph.edges.add(Edge(reader, txn, item, "rw"))
+                    add(Edge(reader, txn, item, "rw"))
             readers.clear()
             writer = txn
     return graph
 
 
 def find_cycle(graph: SerializationGraph) -> Optional[list[int]]:
-    """Iterative depth-first cycle search; returns one cycle or None."""
-    adj = {node: sorted(succs) for node, succs in graph.adjacency().items()}
+    """Return one cycle ``[t1, ..., t1]`` of the graph, or None if it is acyclic.
+
+    A sink lies on no cycle, so acyclicity is decided by a Kahn pass over
+    the nodes with out-edges alone: the graph is acyclic when repeatedly
+    removing such a node with no remaining in-edges removes them all.  No
+    set or sorted list is built per node.  Only a cyclic graph pays for the
+    search that names a cycle (``_first_cycle``).
+    """
+    succs: dict[int, list[int]] = {}  # node with out-edges -> its successors, one per edge
+    indegree: dict[int, int] = {}  # node with in-edges -> their number
+    for src, dst, _, _ in graph.edges:
+        if src in succs:
+            succs[src].append(dst)
+        else:
+            succs[src] = [dst]
+        indegree[dst] = indegree.get(dst, 0) + 1
+    ready = [node for node in succs if node not in indegree]
+    left = len(succs)
+    while ready:
+        left -= 1
+        for succ in succs[ready.pop()]:
+            remaining = indegree[succ] - 1
+            indegree[succ] = remaining
+            if not remaining and succ in succs:
+                ready.append(succ)
+    return _first_cycle(succs) if left else None
+
+
+def _first_cycle(succs: dict[int, list[int]]) -> list[int]:
+    """The cycle an iterative depth-first search closes first, taking roots
+    and successors in ascending order.
+
+    Roots are the nodes with out-edges: a sink root closes nothing, and the
+    search from it only marks it done, which no later step depends on.  So
+    the result is the one a search rooted at every node would give.
+    """
+    adj = {node: sorted(set(dsts)) for node, dsts in succs.items()}
     color: dict[int, int] = {}  # 0 unseen implicit, 1 on stack, 2 done
-    for root in sorted(graph.nodes):
+    for root in sorted(adj):
         if color.get(root, 0) != 0:
             continue
         path: list[int] = []
@@ -194,10 +247,10 @@ def find_cycle(graph: SerializationGraph) -> Optional[list[int]]:
             if index == 0:
                 color[node] = 1
                 path.append(node)
-            succs = adj.get(node, [])
-            if index < len(succs):
+            dsts = adj.get(node, [])
+            if index < len(dsts):
                 stack[-1] = (node, index + 1)
-                succ = succs[index]
+                succ = dsts[index]
                 state = color.get(succ, 0)
                 if state == 1:
                     return path[path.index(succ):] + [succ]
@@ -207,7 +260,7 @@ def find_cycle(graph: SerializationGraph) -> Optional[list[int]]:
                 stack.pop()
                 path.pop()
                 color[node] = 2
-    return None
+    raise AssertionError("a graph the Kahn pass left nodes of has a cycle")
 
 
 def write_trace_csv(events: Iterable[ScheduleEvent], outfile: TextIO) -> None:
@@ -217,20 +270,30 @@ def write_trace_csv(events: Iterable[ScheduleEvent], outfile: TextIO) -> None:
     writer.writerows(events)
 
 
-def iter_trace_csv(infile: TextIO) -> Iterator[ScheduleEvent]:
-    """Yield the events of a trace CSV one row at a time.
+def trace_rows(infile: TextIO) -> Iterator[list[str]]:
+    """The rows of a trace CSV as lists of strings, blank rows skipped.
 
-    The header is checked when the first event is requested; a wrong or
-    missing header raises ValueError.  Blank rows are skipped.
+    The header is read and checked at once; a wrong or missing header
+    raises ValueError.  Open the file with ``newline=""``, as the csv
+    module requires: otherwise a newline inside a quoted item is translated
+    and two distinct items can read back as one.
     """
     reader = csv.reader(infile)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != TRACE_COLUMNS:
         raise ValueError(f"trace header must be {','.join(TRACE_COLUMNS)}")
+    return filter(None, reader)
+
+
+def iter_trace_csv(infile: TextIO) -> Iterator[ScheduleEvent]:
+    """Yield the events of a trace CSV one row at a time.
+
+    The rows come from ``trace_rows``; its header check runs when the first
+    event is requested.
+    """
     make = ScheduleEvent._make
-    for row in reader:
-        if row:
-            yield make((int(row[0]), int(row[1]), row[2], row[3], row[4]))
+    for row in trace_rows(infile):
+        yield make((int(row[0]), int(row[1]), row[2], row[3], row[4]))
 
 
 def read_trace_csv(infile: TextIO) -> list[ScheduleEvent]:

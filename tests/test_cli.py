@@ -119,6 +119,26 @@ def test_sg_check_detects_cycles(tmp_path, capsys):
     assert "CYCLE" in capsys.readouterr().out
 
 
+def test_sg_check_keeps_items_that_differ_in_a_newline(tmp_path, capsys):
+    # The csv module needs newline="" to read back "\r" and "\n" inside a
+    # quoted cell; with newline translation both items read as "a\nb" and
+    # their disjoint read-writes look like a cycle.
+    events = [
+        ScheduleEvent(0, 1, "r", "a\rb", "v1@O"),
+        ScheduleEvent(1, 2, "r", "a\nb", "v1@O"),
+        ScheduleEvent(2, 1, "w", "a\rb", "v2@O"),
+        ScheduleEvent(3, 2, "w", "a\nb", "v2@O"),
+        ScheduleEvent(4, 1, "c"),
+        ScheduleEvent(5, 2, "c"),
+    ]
+    assert build_serialization_graph(events).edges == set()
+    trace = tmp_path / "trace.csv"
+    with open(trace, "w", newline="") as fh:
+        write_trace_csv(events, fh)
+    assert main(["sg-check", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == "ACYCLIC (2 committed txns, 0 edges)\n"
+
+
 def test_experiment_trace_feeds_sg_check(tmp_path, capsys):
     config = tmp_path / "exp.conf"
     out_dir = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""Golden outputs: the five CSVs of three fixed-seed runs, pinned by digest.
+"""Golden outputs: the five CSVs of three fixed-seed runs, pinned by digest,
+and the ``sg-check`` verdict on each run's trace.
 
 The digests were captured before termination events and engine records
 were merged into one type; any refactor that claims "same outputs" must
@@ -57,8 +58,16 @@ GOLDEN = {
 }
 
 
+# ``adaptivecc sg-check`` stdout on each golden trace.csv.
+GOLDEN_SG_CHECK = {
+    "experiment": "ACYCLIC (11 committed txns, 20 edges)\n",
+    "deck": "ACYCLIC (474 committed txns, 396 edges)\n",
+    "deck_si_only": "ACYCLIC (88 committed txns, 340 edges)\n",
+}
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_outputs_match_golden_digests(name, tmp_path):
+def test_outputs_match_golden_digests(name, tmp_path, capsys):
     profile, adapt_config, kwargs = cli.build_run(cli.parse_config(CONFIGS[name]))
     kwargs["out_dir"] = str(tmp_path)
     run_experiment(profile, adapt_config, **kwargs)
@@ -68,6 +77,8 @@ def test_outputs_match_golden_digests(name, tmp_path):
     }
     differing = sorted(f for f, digest in digests.items() if digest != GOLDEN[name][f])
     assert not differing, f"{name}: {', '.join(differing)} differ from the golden output"
+    assert cli.main(["sg-check", "--trace", str(tmp_path / "trace.csv")]) == 0
+    assert capsys.readouterr().out == GOLDEN_SG_CHECK[name]
 
 
 # trace.csv of ``adaptivecc replay-scenario fig7 --out``.

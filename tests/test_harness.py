@@ -329,3 +329,18 @@ def test_scenario_switch_rates_match_the_timeseries():
     assert first.cr == result.window_crs[0]
     assert second.cr == result.window_crs[2]
     assert list(result.abort_reasons) == list(range(1, 16))  # slot order
+
+
+@pytest.mark.parametrize("controlled", [False, True], ids=["no_controller", "controller"])
+def test_a_runner_runs_once(controlled):
+    # A second run would replay onto the used engine: without a controller
+    # it returned the first run's records mixed into its own, with one it
+    # failed only after replaying.  It must refuse before touching the engine.
+    adapt_config = AdaptationConfig(gamma=0.9, delta=0.05) if controlled else None
+    runner = ExperimentRunner(EpochProfile(lambdas=(20.0,), seed=3), adapt_config)
+    first = runner.run()
+    records, trace_rows = list(first.events), len(runner.engine.trace)
+    with pytest.raises(RuntimeError, match="runs once"):
+        runner.run()
+    assert first.events == records
+    assert len(runner.engine.trace) == trace_rows

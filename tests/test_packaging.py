@@ -57,3 +57,25 @@ def test_harness_wires_one_engine_and_controller():
         "Controller": 1,
         "Scheduler": 1,
     }
+
+
+def test_sg_check_calls_the_names_the_benchmark_wraps():
+    # bench/spans.py times sg-check by replacing cli.build_serialization_graph,
+    # cli.find_cycle and cli.read_trace_csv; a call through another name
+    # would drop out of the traced run's spans.
+    from adaptivecc import cli, sg
+
+    assert cli.read_trace_csv is sg.read_trace_csv
+    package = Path(adaptivecc.__file__).resolve().parent
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    (command,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_cmd_sg_check"
+    ]
+    called = {
+        node.func.id
+        for node in ast.walk(command)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert {"build_serialization_graph", "find_cycle"} <= called

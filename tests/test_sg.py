@@ -17,6 +17,7 @@ from adaptivecc.sg import (
     find_cycle,
     iter_trace_csv,
     read_trace_csv,
+    trace_rows,
     write_trace_csv,
 )
 from adaptivecc.store import CCClass
@@ -141,6 +142,64 @@ def oracle_build_serialization_graph(events, classes=None):
     return graph
 
 
+def oracle_find_cycle(graph):
+    """The cycle search ``find_cycle`` used before its Kahn pass: an
+    iterative depth-first search over every node, roots and successors in
+    ascending order, returning the first cycle it closes."""
+    adj = {node: sorted(succs) for node, succs in graph.adjacency().items()}
+    color = {}  # 0 unseen implicit, 1 on stack, 2 done
+    for root in sorted(graph.nodes):
+        if color.get(root, 0) != 0:
+            continue
+        path = []
+        stack = [(root, 0)]  # (node, next successor index)
+        while stack:
+            node, index = stack[-1]
+            if index == 0:
+                color[node] = 1
+                path.append(node)
+            succs = adj.get(node, [])
+            if index < len(succs):
+                stack[-1] = (node, index + 1)
+                succ = succs[index]
+                state = color.get(succ, 0)
+                if state == 1:
+                    return path[path.index(succ):] + [succ]
+                if state == 0:
+                    stack.append((succ, 0))
+            else:
+                stack.pop()
+                path.pop()
+                color[node] = 2
+    return None
+
+
+@st.composite
+def digraphs(draw):
+    """Graphs of up to 12 nodes with sparse ids, so some are isolated and
+    the rest fall into one or more components, and parallel edges on two
+    items.  Half are acyclic: every edge runs forward in the drawn order of
+    the ids.  The others take any edge, self-loops included."""
+    ids = draw(st.lists(st.integers(0, 40), unique=True, max_size=12))
+    graph = SerializationGraph(nodes=set(ids))
+    if not ids:
+        return graph
+    acyclic = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=30))
+    for src, dst in pairs:
+        if acyclic and ids.index(src) >= ids.index(dst):
+            continue
+        item, kind = draw(st.sampled_from("xy")), draw(st.sampled_from(["rw", "wr", "ww"]))
+        graph.edges.add(Edge(src, dst, item, kind))
+    return graph
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(digraphs())
+def test_find_cycle_matches_the_depth_first_oracle(graph):
+    assert find_cycle(graph) == oracle_find_cycle(graph)
+
+
 def reachability(graph):
     """node -> every node reachable from it over one or more edges."""
     adj = graph.adjacency()
@@ -163,6 +222,7 @@ def assert_same_verdicts(events, classes=None):
     assert fast.edges <= slow.edges
     assert reachability(fast) == reachability(slow)
     cycle = find_cycle(fast)
+    assert cycle == oracle_find_cycle(fast)
     assert (cycle is None) == (find_cycle(slow) is None)
     if cycle is not None:
         slow_pairs = {(e.src, e.dst) for e in slow.edges}
@@ -266,14 +326,18 @@ def as_csv(events):
 
 
 def assert_csv_path_agrees(events, classes=None):
-    """sg-check's path, the trace streamed from CSV into the builder, gives
-    the in-memory build's graph and the all-pairs oracle's verdict."""
-    streamed = build_serialization_graph(iter_trace_csv(as_csv(events)), classes)
+    """sg-check's path, the CSV rows streamed into the builder, gives the
+    in-memory build's graph, the oracle search's cycle and the all-pairs
+    oracle's verdict; so do the events ``iter_trace_csv`` parses."""
+    streamed = build_serialization_graph(trace_rows(as_csv(events)), classes)
+    parsed = build_serialization_graph(iter_trace_csv(as_csv(events)), classes)
     in_memory = build_serialization_graph(events, classes)
     slow = oracle_build_serialization_graph(events, classes)
-    assert streamed.nodes == in_memory.nodes == slow.nodes
-    assert streamed.edges == in_memory.edges
-    assert (find_cycle(streamed) is None) == (find_cycle(slow) is None)
+    assert streamed.nodes == parsed.nodes == in_memory.nodes == slow.nodes
+    assert streamed.edges == parsed.edges == in_memory.edges
+    cycle = find_cycle(streamed)
+    assert cycle == oracle_find_cycle(in_memory)
+    assert (cycle is None) == (find_cycle(slow) is None)
     assert read_trace_csv(as_csv(events)) == events
     return streamed
 
@@ -304,15 +368,34 @@ def test_iter_trace_csv_checks_the_header_and_skips_blank_rows():
         list(iter_trace_csv(io.StringIO("time,txn\n0,1\n")))
     with pytest.raises(ValueError, match="trace header"):
         list(iter_trace_csv(io.StringIO("")))
+    with pytest.raises(ValueError, match="trace header"):
+        trace_rows(io.StringIO("time,txn\n0,1\n"))
     rows = "time_ms,txn_id,op,item,detail\n0,1,r,x,v1@O\n\n1,1,c,,\n"
     assert list(iter_trace_csv(io.StringIO(rows))) == [ev(0, 1, "r", "x", "v1@O"), ev(1, 1, "c")]
+    assert list(trace_rows(io.StringIO(rows))) == [
+        ["0", "1", "r", "x", "v1@O"],
+        ["1", "1", "c", "", ""],
+    ]
 
 
-# Which error a malformed history raises, if any.  The unknown op comes
-# first, then unterminated txns, then the first committed read or write, in
-# trace order, whose class is unknown; an aborted txn's class is never looked
-# at.
+# Which error a malformed history raises, if any.  A row that does not parse
+# raises where it stands, as ``iter_trace_csv`` raises on it; then comes the
+# unknown op, then unterminated txns, then the first committed read or
+# write, in trace order, whose class is unknown; an aborted txn's class is
+# never looked at.
 MALFORMED = {
+    "non-integer time cell": (
+        [ev(0, 1, "r", "x", "v1@O"), ev("1.5", 1, "c")],
+        (ValueError, "invalid literal for int"),
+    ),
+    "non-integer txn cell": (
+        [ev(0, "t1", "r", "x", "v1@O"), ev(1, "t1", "c")],
+        (ValueError, "invalid literal for int"),
+    ),
+    "short row after an unknown op": (
+        [ev(0, 1, "z"), ev(1, 1, "r", "x", "v1@O"), (2, 1, "c")],
+        (IndexError, "index out of range"),
+    ),
     "unannotated op of an aborted txn": (
         [ev(0, 1, "r", "x", "v1"), ev(1, 1, "a", "", "validation"), ev(2, 2, "c")],
         None,
@@ -373,10 +456,10 @@ def test_malformed_history_outcomes(case, via_csv):
 def peak_build_bytes(events, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write_trace_csv(events, fh)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         tracemalloc.start()
         try:
-            build_serialization_graph(iter_trace_csv(fh))
+            build_serialization_graph(trace_rows(fh))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
