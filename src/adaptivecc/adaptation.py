@@ -12,11 +12,13 @@ denominator) and flips the item's class:
   commit rate with an estimate above beta forces the item back to O,
   trading aborts for latency.
 
-Two trigger modes: TIME_WINDOW evaluates the rules at window boundaries
-over that window's counters; PER_TERMINATION evaluates after every
-termination over the running totals, so a burst of aborts keeps weighing
-the rate down until enough commits outgrow it.  The controller always
-runs outside transactions.
+Two trigger modes: TIME_WINDOW evaluates the rules over each window's
+counters when its caller invokes ``close_window`` (the controller has no
+window width of its own; an experiment closes a window every ``tw_ms`` of
+its runner); PER_TERMINATION evaluates after every termination over the
+running totals, so a burst of aborts keeps weighing the rate down until
+enough commits outgrow it.  The controller always runs outside
+transactions.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class AdaptationConfig:
     gamma: float  # target commit rate
     delta: float  # hysteresis half-width
     beta: Optional[float] = None  # response-time barrier in ms; None disables
-    tw_ms: float = 100.0
     mode: Mode = Mode.TIME_WINDOW
     switch_back_queue_max: Optional[int] = None  # gate on P->O when set
 
@@ -55,8 +56,6 @@ class AdaptationConfig:
             raise ValueError("gamma must be in (0, 1]")
         if not 0 <= self.delta < self.gamma:
             raise ValueError("delta must be in [0, gamma)")
-        if self.tw_ms <= 0:
-            raise ValueError("tw_ms must be positive")
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,6 @@ def build_run(values: dict[str, str]):
             gamma=float(values.get("gamma", 0.9)),
             delta=float(values.get("delta", 0.05)),
             beta=beta,
-            tw_ms=float(values.get("tw_ms", 100)),
             mode=Mode(mode_word),
             switch_back_queue_max=limit,
         )

@@ -98,7 +98,6 @@ class ReadRecord(NamedTuple):
     value: object
     version: int
     class_at_read: CCClass
-    escrow: bool = False
 
 
 class WriteIntent(NamedTuple):
@@ -267,16 +266,16 @@ class Engine:
             return ReadOutcome(
                 ReadStatus.ABORTED, abort_reason=AbortReason.CONSTRAINT
             )
-        return self._record_read(txn, item_id, escrow=True)
+        return self._record_read(txn, item_id, granted=True)
 
-    def _record_read(self, txn: Txn, item_id: str, escrow: bool = False) -> ReadOutcome:
+    def _record_read(self, txn: Txn, item_id: str, granted: bool = False) -> ReadOutcome:
         item = self.store.item(item_id)
         value, version = item.committed_value, item.version
-        txn.read_set[item_id] = ReadRecord(value, version, item.current_class, escrow)
+        txn.read_set[item_id] = ReadRecord(value, version, item.current_class)
         if txn.first_read_ms is None:
             txn.first_read_ms = self.clock()
         self._emit(txn.txn_id, sg.READ, item_id, f"v{version}@{item.current_class}")
-        return ReadOutcome(ReadStatus.DONE, value, version, granted=escrow)
+        return ReadOutcome(ReadStatus.DONE, value, version, granted=granted)
 
     def disconnect(self, txn: Txn) -> None:
         """End the read phase; locks and reservations persist."""

@@ -29,11 +29,12 @@ finding no unreachable objects after replays run without the collector.
 from __future__ import annotations
 
 import gc
+import math
 import os
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Generator, Optional
+from typing import Any, Generator, Optional
 
 from . import metrics, sg
 from .adaptation import AdaptationConfig, AdaptEvent, Controller, Mode
@@ -239,7 +240,12 @@ class ExperimentResult:
 
 
 class ExperimentRunner:
-    """Executes one EpochProfile against a fresh store and engine."""
+    """Executes one EpochProfile against a fresh store and engine.
+
+    ``tw_ms`` (100 ms when None; finite and > 0) is the run's one window
+    width: of the timeseries, of the summary's commit-rate series and, in
+    TIME_WINDOW mode, of the controller.
+    """
 
     def __init__(
         self,
@@ -251,6 +257,9 @@ class ExperimentRunner:
         paced: bool = False,
         tw_ms: Optional[float] = None,
     ) -> None:
+        self.tw_ms = 100.0 if tw_ms is None else tw_ms
+        if not 0 < self.tw_ms < math.inf:
+            raise ConfigurationError(f"tw_ms must be a finite number > 0, not {self.tw_ms!r}")
         if engine_mode not in ("orpe", "si_only"):
             raise ConfigurationError(f"unknown engine_mode {engine_mode!r}")
         if engine_mode == "si_only" and store is not None:
@@ -258,7 +267,6 @@ class ExperimentRunner:
             if mixed:
                 raise ConfigurationError(f"si_only needs every item in O: {', '.join(mixed)}")
         self.profile = profile
-        self.engine_mode = engine_mode
         self.op_cost_ms = op_cost_ms
         self.rng = random.Random(profile.seed)
         self.scheduler = Scheduler(paced=paced)
@@ -276,10 +284,6 @@ class ExperimentRunner:
                 event_sink=self.adapt_events.append,
             )
             self.engine.termination_sinks.append(self.controller.on_txn_termination)
-        if tw_ms is not None:
-            self.tw_ms = tw_ms
-        else:
-            self.tw_ms = adapt_config.tw_ms if adapt_config is not None else 100.0
         self.events: list[TerminationRecord] = []
         self.engine.termination_sinks.append(self.events.append)
         adaptable = [item.id for item in self.store.items() if item.adaptable]
@@ -453,23 +457,12 @@ class ExperimentRunner:
 def run_experiment(
     profile: EpochProfile,
     adapt_config: Optional[AdaptationConfig] = None,
-    engine_mode: str = "orpe",
-    store: Optional[Store] = None,
     out_dir: Optional[str] = None,
-    op_cost_ms: float = 1.0,
-    paced: bool = False,
-    tw_ms: Optional[float] = None,
+    **settings: Any,
 ) -> ExperimentResult:
-    runner = ExperimentRunner(
-        profile,
-        adapt_config,
-        engine_mode=engine_mode,
-        store=store,
-        op_cost_ms=op_cost_ms,
-        paced=paced,
-        tw_ms=tw_ms,
-    )
-    return runner.run(out_dir=out_dir)
+    """Run ``profile`` once on an ``ExperimentRunner`` built with
+    ``settings`` (its keyword arguments and defaults)."""
+    return ExperimentRunner(profile, adapt_config, **settings).run(out_dir)
 
 
 def write_outputs(result: ExperimentResult, out_dir: str) -> None:
@@ -489,12 +482,7 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
     with open(
         os.path.join(out_dir, "adaptation.csv"), "w", newline="", encoding="utf-8"
     ) as fh:
-        fh.write("time_ms,item,from_class,to_class,cr,rt_est,rule\r\n")
-        for ev in result.adapt_events:
-            fh.write(
-                f"{int(ev.time_ms)},{ev.item_id},{ev.from_class.value},"
-                f"{ev.to_class.value},{ev.cr:.6f},{ev.rt_est:.3f},{ev.rule}\r\n"
-            )
+        metrics.write_adaptation_csv(result.adapt_events, fh)
 
 
 # -- scripted adaptation scenario ---------------------------------------------
@@ -541,7 +529,7 @@ def overload_adaptation_scenario(out_dir: Optional[str] = None) -> ScenarioResul
     store.create_item("ledger", 5, CCClass.R, Constraint(lower=0))
     runner = _Fig7Runner(
         EpochProfile(lambdas=(0.0, 0.0, 0.0), epoch_ms=100.0),
-        AdaptationConfig(gamma=0.8, delta=0.1, tw_ms=100.0),
+        AdaptationConfig(gamma=0.8, delta=0.1),
         store=store,
         op_cost_ms=0.0,
     )

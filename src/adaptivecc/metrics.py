@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from statistics import fmean, pstdev
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .adaptation import compute_cr, compute_cr_eff
+from .adaptation import AdaptEvent, compute_cr, compute_cr_eff
 from .engine import AbortReason, TerminationRecord
 from .store import CCClass
 
@@ -40,6 +40,8 @@ TIMESERIES_COLUMNS = [
     "rt_est",
     "current_class",
 ]
+
+ADAPTATION_COLUMNS = ["time_ms", "item", "from_class", "to_class", "cr", "rt_est", "rule"]
 
 SUMMARY_COLUMNS = [
     "mean_rt_ms",
@@ -285,4 +287,14 @@ def write_summary_csv(summary: Summary, outfile: TextIO) -> None:
             f"{summary.abort_rate:.6f}",
         ]
         + [f"{summary.abort_rate_by_reason[r.value]:.6f}" for r in AbortReason]
+    )
+
+
+def write_adaptation_csv(events: Iterable[AdaptEvent], outfile: TextIO) -> None:
+    writer = csv.writer(outfile)
+    writer.writerow(ADAPTATION_COLUMNS)
+    writer.writerows(
+        (int(ev.time_ms), ev.item_id, ev.from_class.value, ev.to_class.value,
+         f"{ev.cr:.6f}", f"{ev.rt_est:.3f}", ev.rule)
+        for ev in events
     )

@@ -96,8 +96,6 @@ def test_config_validation():
         AdaptationConfig(gamma=0.0, delta=0.0)
     with pytest.raises(ValueError):
         AdaptationConfig(gamma=0.8, delta=0.8)
-    with pytest.raises(ValueError):
-        AdaptationConfig(gamma=0.8, delta=0.1, tw_ms=0)
 
 
 # -- termination accounting -------------------------------------------------------

@@ -1,8 +1,13 @@
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import adaptivecc
 from adaptivecc.cli import build_run, main, parse_config
 from adaptivecc.sg import ScheduleEvent, build_serialization_graph, read_trace_csv, write_trace_csv
 
@@ -63,6 +68,24 @@ def test_run_command_writes_outputs(tmp_path, capsys):
     assert "commits/sec=" in captured
     assert (out_dir / "summary.csv").exists()
     assert (out_dir / "timeseries.csv").exists()
+
+
+def test_run_command_refuses_a_zero_window(tmp_path):
+    # Without a controller nothing else checked tw_ms, and a zero window
+    # rescheduled its boundary at the same instant forever.
+    config = tmp_path / "exp.conf"
+    config.write_text("lambda = 5\nmode = off\ntw_ms = 0\n")
+    src = str(Path(adaptivecc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "adaptivecc.cli", "run", "--config", str(config)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode != 0
+    assert "tw_ms must be a finite number > 0" in done.stderr
 
 
 def test_replay_scenario_prints_window_rates(capsys):

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import gc
 import math
 import random
@@ -21,6 +23,7 @@ from adaptivecc.harness import (
     single_item_store,
     tpcc_deck,
     tpcc_store,
+    write_outputs,
 )
 from adaptivecc.store import CCClass, UnknownItemError
 
@@ -344,3 +347,36 @@ def test_a_runner_runs_once(controlled):
         runner.run()
     assert first.events == records
     assert len(runner.engine.trace) == trace_rows
+
+
+@pytest.mark.parametrize("tw_ms", [0, -5, math.nan, math.inf])
+@pytest.mark.parametrize("controlled", [False, True], ids=["no_controller", "controller"])
+def test_the_runner_refuses_a_window_that_is_not_finite_and_positive(
+    tw_ms, controlled, monkeypatch
+):
+    # A zero or negative window rescheduled its boundary at the same instant
+    # forever; nan and inf replayed the whole run, then failed in aggregate.
+    def no_replay(self):
+        raise AssertionError("the replay started")
+
+    monkeypatch.setattr(ExperimentRunner, "_plan", no_replay)
+    adapt_config = AdaptationConfig(gamma=0.9, delta=0.05) if controlled else None
+    with pytest.raises(ConfigurationError, match="tw_ms"):
+        run_experiment(EpochProfile(lambdas=(5.0,)), adapt_config, tw_ms=tw_ms)
+
+
+def test_adaptation_csv_round_trips_an_item_id_with_a_comma(tmp_path):
+    result = run_experiment(
+        EpochProfile(lambdas=(60.0, 60.0), dt_min_ms=50, dt_max_ms=500, seed=1),
+        AdaptationConfig(gamma=0.9, delta=0.05),
+    )
+    result.adapt_events = [dataclasses.replace(ev, item_id="a,b") for ev in result.adapt_events]
+    assert result.adapt_events
+    write_outputs(result, str(tmp_path))
+    with open(tmp_path / "adaptation.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) == 7 for row in rows)
+    assert [(int(row[0]), row[1], row[2], row[3], row[6]) for row in rows] == [
+        (int(ev.time_ms), ev.item_id, ev.from_class.value, ev.to_class.value, ev.rule)
+        for ev in result.adapt_events
+    ]

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import adaptivecc
 
 
@@ -57,6 +59,25 @@ def test_harness_wires_one_engine_and_controller():
         "Controller": 1,
         "Scheduler": 1,
     }
+
+
+@pytest.mark.parametrize("conf", ["deck.conf", "hot_w2.conf"])
+def test_bench_configs_build_a_runner_as_make_runner_does(conf):
+    # bench/workloads.make_runner passes exactly these three build_run kwargs
+    # to ExperimentRunner; deck.conf has no tw_ms key.
+    from adaptivecc import cli
+    from adaptivecc.harness import ExperimentRunner
+
+    text = (Path(__file__).resolve().parent.parent / "bench" / conf).read_text(encoding="utf-8")
+    profile, adapt_config, kwargs = cli.build_run(cli.parse_config(text))
+    runner = ExperimentRunner(
+        profile,
+        adapt_config,
+        engine_mode=kwargs["engine_mode"],
+        op_cost_ms=kwargs["op_cost_ms"],
+        tw_ms=kwargs["tw_ms"],
+    )
+    assert runner.tw_ms == 100.0
 
 
 def test_sg_check_calls_the_names_the_benchmark_wraps():
