@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``run --config FILE``: execute an experiment described by a line-oriented
-  ``key = value`` file and write trace/timeseries/summary CSVs.
+  ``key = value`` file and write trace/timeseries/summary CSVs.  Its
+  ``template`` is ``single_item`` or ``tpcc_deck`` (or an alias); a config
+  the run refuses exits 2 with one line on stderr.
 * ``replay-scenario fig7 [--out DIR]``: replay the scripted hot-item
   adaptation scenario and print the per-window commit rates and switch
   events; ``--out`` writes the same five CSVs as ``run``.
@@ -28,6 +30,7 @@ from typing import Optional
 from .adaptation import AdaptationConfig, Mode
 from .classify import classify_manifest
 from .harness import (
+    ConfigurationError,
     EpochProfile,
     overload_adaptation_scenario,
     run_experiment,
@@ -129,10 +132,13 @@ def build_run(values: dict[str, str]):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        values = parse_config(fh.read())
-    profile, adapt_config, kwargs = build_run(values)
-    result = run_experiment(profile, adapt_config, paced=args.paced, **kwargs)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            profile, adapt_config, kwargs = build_run(parse_config(fh.read()))
+        result = run_experiment(profile, adapt_config, paced=args.paced, **kwargs)
+    except (ConfigurationError, ValueError) as exc:
+        print(f"bad config {args.config}: {exc}", file=sys.stderr)
+        return 2
     s = result.summary
     print(
         f"tas={s.tas} commits/sec={s.commits_per_sec:.2f} "

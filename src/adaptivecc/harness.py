@@ -6,9 +6,14 @@ uniform random disconnect, write phase), and feeds the adaptation
 controller and metrics collection.  Everything runs on a discrete-event
 clock; identical (profile, config, seed) triples replay byte-identically.
 Pacing the same event stream against the wall clock is available for
-live-throughput demonstrations and changes nothing logically.  The scripted
-overload scenario is the same run with a fixed fifteen-transaction plan in
-place of the Poisson arrivals.
+live-throughput demonstrations and changes nothing logically.
+
+A workload is a store plus a plan: ``WORKLOADS`` maps a profile's
+``template`` to a store factory and a plan function that turns the profile
+and the run's RNG into timed transactions.  ``single_item`` and
+``tpcc_deck`` share the Poisson plan and differ only in their template
+stream; ``fig7``, the scripted overload scenario, is a fifteen-transaction
+script over its own store.
 
 Transaction templates are class-agnostic: an access declares the item and
 an optional update delta, and the item's current class picks the
@@ -34,7 +39,8 @@ import os
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Generator, Optional
+from itertools import repeat
+from typing import Any, Callable, Generator, Iterator, NamedTuple, Optional
 
 from . import metrics, sg
 from .adaptation import AdaptationConfig, AdaptEvent, Controller, Mode
@@ -51,16 +57,6 @@ HOT_ITEM = "hot"
 # Seven-epoch arrival-rate profiles used by the long-transaction studies.
 W1 = (7, 14, 80, 87, 93, 100, 106)
 W2 = (66, 132, 200, 265, 332, 400, 460)
-
-# TPC-C style transaction mix: (template name, count per 100-transaction deck).
-DECK_MIX = (
-    ("new_order", 42),
-    ("payment", 42),
-    ("delivery", 4),
-    ("credit_check", 4),
-    ("update_stock_level", 4),
-    ("read_stock_level", 4),
-)
 
 
 class ConfigurationError(Exception):
@@ -79,11 +75,14 @@ class EpochProfile:
     epoch_ms: float = 1000.0
 
     def __post_init__(self) -> None:
+        values = (*self.lambdas, self.dt_min_ms, self.dt_max_ms, self.epoch_ms)
+        if not all(map(math.isfinite, values)):
+            raise ConfigurationError("arrival rates, dt_min, dt_max and epoch_ms must be finite")
         if any(lam < 0 for lam in self.lambdas):
             raise ConfigurationError("arrival rates must be non-negative")
         if not 0 <= self.dt_min_ms <= self.dt_max_ms:
             raise ConfigurationError("need 0 <= dt_min <= dt_max")
-        if self.template not in (TEMPLATE_SINGLE_ITEM, TEMPLATE_TPCC_DECK):
+        if self.template not in WORKLOADS:
             raise ConfigurationError(f"unknown template {self.template!r}")
         if self.epoch_ms <= 0:
             raise ConfigurationError("epoch_ms must be positive")
@@ -142,70 +141,102 @@ def tpcc_store(si_only: bool = False) -> Store:
     return store
 
 
-def build_store(template: str, si_only: bool = False) -> Store:
-    if template == TEMPLATE_TPCC_DECK:
-        return tpcc_store(si_only)
-    return single_item_store()  # the hot item is optimistic either way
-
-
-def _deck_template(name: str, rng: random.Random) -> TxnTemplate:
-    if name == "new_order":
-        return TxnTemplate(
-            "new_order",
-            (
-                Access("Customer"),
-                Access("CustomerCredit"),
-                Access("StockQuantity", delta=-rng.randint(1, 10)),
-            ),
-        )
-    if name == "payment":
-        amount = rng.randint(1, 100)
-        return TxnTemplate(
-            "payment",
-            (
-                Access("Customer"),
-                Access("CustomerBalance", delta=-amount),
-                Access("WarehouseYTD", delta=amount),
-                Access("DistrictYTD", delta=amount),
-            ),
-        )
-    if name == "delivery":
-        return TxnTemplate(
-            "delivery",
-            (Access("Customer"), Access("CustomerBalance", delta=rng.randint(1, 50))),
-        )
-    if name == "credit_check":
-        return TxnTemplate(
-            "credit_check",
-            (
-                Access("Customer"),
-                Access("CustomerCredit", delta=1),
-                Access("CustomerBalance"),
-            ),
-        )
-    if name == "update_stock_level":
-        return TxnTemplate(
-            "update_stock_level",
-            (Access("StockQuantity", delta=rng.randint(10, 100)),),
-        )
-    if name == "read_stock_level":
-        return TxnTemplate(
-            "read_stock_level", (Access("StockQuantity"),), read_only=True
-        )
-    raise ConfigurationError(f"unknown deck transaction {name!r}")
+# TPC-C style transaction mix: one row per deck transaction with its count
+# per 100-transaction deck and its accesses, whose deltas are drawn from the rng.
+_DECK: tuple[tuple[str, int, Callable[[random.Random], tuple[Access, ...]]], ...] = (
+    ("new_order", 42, lambda rng: (
+        Access("Customer"), Access("CustomerCredit"),
+        Access("StockQuantity", delta=-rng.randint(1, 10)))),
+    ("payment", 42, lambda rng: (  # one amount leaves the balance for both YTDs
+        Access("Customer"), Access("CustomerBalance", delta=-(amount := rng.randint(1, 100))),
+        Access("WarehouseYTD", delta=amount), Access("DistrictYTD", delta=amount))),
+    ("delivery", 4, lambda rng: (
+        Access("Customer"), Access("CustomerBalance", delta=rng.randint(1, 50)))),
+    ("credit_check", 4, lambda rng: (
+        Access("Customer"), Access("CustomerCredit", delta=1), Access("CustomerBalance"))),
+    ("update_stock_level", 4, lambda rng: (Access("StockQuantity", delta=rng.randint(10, 100)),)),
+    ("read_stock_level", 4, lambda rng: (Access("StockQuantity"),)),
+)
+DECK_MIX = tuple((name, count) for name, count, _ in _DECK)
 
 
 def tpcc_deck(rng: random.Random) -> list[TxnTemplate]:
     """A shuffled 100-transaction deck with the fixed mix of
     42/42/4/4/4/4 new-order/payment/delivery/credit-check/update-stock/
-    read-stock transactions."""
-    names = [name for name, count in DECK_MIX for _ in range(count)]
-    rng.shuffle(names)
-    return [_deck_template(name, rng) for name in names]
+    read-stock transactions; read_stock_level, the one without an update,
+    is read-only."""
+    rows = [row for row in _DECK for _ in range(row[1])]
+    rng.shuffle(rows)
+    drawn = [(name, accesses(rng)) for name, _, accesses in rows]
+    return [TxnTemplate(name, acc, all(a.delta is None for a in acc)) for name, acc in drawn]
 
 
 def single_item_template() -> TxnTemplate:
     return TxnTemplate("hot_update", (Access(HOT_ITEM, delta=1),))
+
+
+# -- workloads ------------------------------------------------------------------
+
+Plan = list[tuple[float, TxnTemplate, float]]  # (arrival ms, template, dt ms)
+
+
+class Workload(NamedTuple):
+    """What a profile ``template`` names: a fresh store (all-O when
+    ``si_only``) and the timed transactions a run replays on it."""
+
+    store: Callable[[bool], Store]
+    plan: Callable[[EpochProfile, random.Random], Plan]
+
+
+def _poisson_plan(
+    templates: Callable[[random.Random], Iterator[TxnTemplate]],
+    profile: EpochProfile,
+    rng: random.Random,
+) -> Plan:
+    # Draw order: every arrival, then per arrival its template's draws and dt.
+    times: list[float] = []
+    for index, lam in enumerate(profile.lambdas):
+        start = index * profile.epoch_ms
+        times.extend(start + t for t in poisson_arrivals(lam, profile.epoch_ms, rng))
+    lo, hi = profile.dt_min_ms, profile.dt_max_ms
+    return [
+        (t, template, rng.uniform(lo, hi) if hi > 0 else 0.0)
+        for t, template in zip(times, templates(rng))
+    ]
+
+
+def _decks(rng: random.Random) -> Iterator[TxnTemplate]:
+    while True:  # the next deck is drawn only when the last one is used up
+        yield from tpcc_deck(rng)
+
+
+def _fig7_store(si_only: bool) -> Store:
+    store = single_item_store()
+    store.create_item("ledger", 5, CCClass.R, Constraint(lower=0))  # R under si_only too
+    return store
+
+
+def _fig7_plan(profile: EpochProfile, rng: random.Random) -> Plan:
+    # Slots 1-10 arrive at t = slot and write back at these times; slot 9
+    # also debits the ledger.  Five updates without disconnect follow.
+    hot = single_item_template()
+    debit = TxnTemplate("hot_update", (*hot.accesses, Access("ledger", delta=-10)))
+    write_ms = (20.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 115.0, 110.0)
+    plan = [
+        (slot, debit if slot == 9 else hot, when - slot)
+        for slot, when in enumerate(write_ms, start=1)
+    ]
+    return plan + [(when, hot, 0.0) for when in (120.0, 140.0, 160.0, 210.0, 240.0)]
+
+
+WORKLOADS = {
+    TEMPLATE_SINGLE_ITEM: Workload(
+        lambda si_only: single_item_store(),  # the hot item is optimistic either way
+        partial(_poisson_plan, lambda rng: repeat(single_item_template())),
+    ),
+    TEMPLATE_TPCC_DECK: Workload(tpcc_store, partial(_poisson_plan, _decks)),
+    "fig7": Workload(_fig7_store, _fig7_plan),
+}
 
 
 # -- experiment runner --------------------------------------------------------
@@ -240,7 +271,8 @@ class ExperimentResult:
 
 
 class ExperimentRunner:
-    """Executes one EpochProfile against a fresh store and engine.
+    """Executes one EpochProfile against a fresh engine on ``store``, or
+    when None on a fresh store from the profile's workload.
 
     ``tw_ms`` (100 ms when None; finite and > 0) is the run's one window
     width: of the timeseries, of the summary's commit-rate series and, in
@@ -262,15 +294,15 @@ class ExperimentRunner:
             raise ConfigurationError(f"tw_ms must be a finite number > 0, not {self.tw_ms!r}")
         if engine_mode not in ("orpe", "si_only"):
             raise ConfigurationError(f"unknown engine_mode {engine_mode!r}")
-        if engine_mode == "si_only" and store is not None:
-            mixed = sorted(i.id for i in store.items() if i.static_class is not CCClass.O)
+        self.store = store or WORKLOADS[profile.template].store(engine_mode == "si_only")
+        if engine_mode == "si_only":  # whoever built the store
+            mixed = sorted(i.id for i in self.store.items() if i.static_class is not CCClass.O)
             if mixed:
                 raise ConfigurationError(f"si_only needs every item in O: {', '.join(mixed)}")
         self.profile = profile
         self.op_cost_ms = op_cost_ms
         self.rng = random.Random(profile.seed)
         self.scheduler = Scheduler(paced=paced)
-        self.store = store or build_store(profile.template, engine_mode == "si_only")
         scheduler = self.scheduler  # the clock must not hold the runner
         self.engine = Engine(self.store, clock=lambda: scheduler.now_ms)
         self.adapt_events: list[AdaptEvent] = []
@@ -293,31 +325,6 @@ class ExperimentRunner:
         self._spawn_remaining = 0
         self._samples: list[tuple[float, float, str]] = []
         self._ran = False
-
-    # -- planning ---------------------------------------------------------
-
-    def _plan(self) -> list[tuple[float, TxnTemplate, float]]:
-        profile = self.profile
-        plan: list[tuple[float, TxnTemplate, float]] = []
-        times: list[float] = []
-        for index, lam in enumerate(profile.lambdas):
-            start = index * profile.epoch_ms
-            times.extend(start + t for t in poisson_arrivals(lam, profile.epoch_ms, self.rng))
-        deck: list[TxnTemplate] = []
-        for t in times:
-            if profile.template == TEMPLATE_TPCC_DECK:
-                if not deck:
-                    deck = tpcc_deck(self.rng)
-                template = deck.pop(0)
-            else:
-                template = single_item_template()
-            dt = (
-                self.rng.uniform(profile.dt_min_ms, profile.dt_max_ms)
-                if profile.dt_max_ms > 0
-                else 0.0
-            )
-            plan.append((t, template, dt))
-        return plan
 
     # -- session execution --------------------------------------------------
 
@@ -420,7 +427,7 @@ class ExperimentRunner:
                 gc.enable()
 
     def _run(self, out_dir: Optional[str]) -> ExperimentResult:
-        plan = self._plan()
+        plan = WORKLOADS[self.profile.template].plan(self.profile, self.rng)
         self._spawn_remaining = len(plan)
         for when, template, dt in plan:
             self.scheduler.call_at(when, partial(self._spawn, template, dt))
@@ -497,20 +504,6 @@ class ScenarioResult:
     events: list[TerminationRecord]
 
 
-class _Fig7Runner(ExperimentRunner):
-    def _plan(self) -> list[tuple[float, TxnTemplate, float]]:
-        # Slots 1-10 arrive at t = slot and write back at these times; slot 9
-        # also debits the ledger.  Five updates without disconnect follow.
-        hot = single_item_template()
-        debit = TxnTemplate("hot_update", (*hot.accesses, Access("ledger", delta=-10)))
-        write_ms = (20.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 115.0, 110.0)
-        plan = [
-            (slot, debit if slot == 9 else hot, when - slot)
-            for slot, when in enumerate(write_ms, start=1)
-        ]
-        return plan + [(when, hot, 0.0) for when in (120.0, 140.0, 160.0, 210.0, 240.0)]
-
-
 def overload_adaptation_scenario(out_dir: Optional[str] = None) -> ScenarioResult:
     """Scripted fifteen-transaction overload on one adaptable item.
 
@@ -522,18 +515,16 @@ def overload_adaptation_scenario(out_dir: Optional[str] = None) -> ScenarioResul
     the second window to 3/4 (not enough to switch back) and two more make
     the third window 2/2, which restores optimistic control.
 
-    The script is a plan replayed by ``ExperimentRunner`` over three empty
-    100 ms epochs, so ``out_dir`` receives the usual five CSVs.
+    The script is the ``fig7`` workload replayed by ``ExperimentRunner``
+    over three empty 100 ms epochs, so ``out_dir`` receives the usual five
+    CSVs.
     """
-    store = single_item_store()
-    store.create_item("ledger", 5, CCClass.R, Constraint(lower=0))
-    runner = _Fig7Runner(
-        EpochProfile(lambdas=(0.0, 0.0, 0.0), epoch_ms=100.0),
+    result = run_experiment(
+        EpochProfile(lambdas=(0.0, 0.0, 0.0), template="fig7", epoch_ms=100.0),
         AdaptationConfig(gamma=0.8, delta=0.1),
-        store=store,
+        out_dir,
         op_cost_ms=0.0,
     )
-    result = runner.run(out_dir)
     abort_reasons = {
         rec.txn_id: (rec.abort_reason.value if rec.abort_reason else None)
         for rec in sorted(result.events, key=lambda rec: rec.txn_id)  # id = slot

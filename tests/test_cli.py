@@ -88,6 +88,16 @@ def test_run_command_refuses_a_zero_window(tmp_path):
     assert "tw_ms must be a finite number > 0" in done.stderr
 
 
+@pytest.mark.parametrize("setting", ["tw_ms = 0", "template = fig7"], ids=["tw_ms", "template"])
+def test_run_command_exits_2_on_a_bad_config(tmp_path, capsys, setting):
+    # fig7 is a harness workload, but a run config may not name it.
+    path = tmp_path / "exp.conf"
+    path.write_text(f"lambda = 5\n{setting}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_replay_scenario_prints_window_rates(capsys):
     assert main(["replay-scenario", "fig7"]) == 0
     out = capsys.readouterr().out

@@ -13,6 +13,7 @@ from adaptivecc.adaptation import AdaptationConfig
 from adaptivecc.engine import AbortReason
 from adaptivecc.harness import (
     DECK_MIX,
+    WORKLOADS,
     EpochProfile,
     TEMPLATE_TPCC_DECK,
     ConfigurationError,
@@ -25,7 +26,8 @@ from adaptivecc.harness import (
     tpcc_store,
     write_outputs,
 )
-from adaptivecc.store import CCClass, UnknownItemError
+from adaptivecc.simclock import Scheduler
+from adaptivecc.store import CCClass, Store, UnknownItemError
 
 
 def test_poisson_zero_rate_is_empty():
@@ -66,6 +68,30 @@ def test_profile_validation():
         EpochProfile(lambdas=(1.0,), dt_min_ms=10, dt_max_ms=5)
     with pytest.raises(ConfigurationError):
         EpochProfile(lambdas=(1.0,), template="nope")
+
+
+@pytest.mark.parametrize("field", ["lambdas", "dt_min_ms", "dt_max_ms", "epoch_ms"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_profile_refuses_non_finite_values(field, value):
+    # inf epochs or rates spun in poisson_arrivals, an inf dt_max grew the
+    # boundary samples without end and a nan epoch reached summarize.
+    # Only the profile is built here; none of these may be replayed.
+    settings = {"lambdas": (1.0,), "dt_max_ms": 10.0}
+    settings[field] = (1.0, value) if field == "lambdas" else value
+    with pytest.raises(ConfigurationError, match="finite"):
+        EpochProfile(**settings)
+
+
+@pytest.mark.parametrize("template", sorted(WORKLOADS))
+def test_every_workload_plans_deterministically_on_fresh_stores(template):
+    workload = WORKLOADS[template]
+    profile = EpochProfile(lambdas=(80.0, 40.0), dt_max_ms=20.0, template=template, seed=5)
+    first = workload.plan(profile, random.Random(profile.seed))
+    assert first
+    assert workload.plan(profile, random.Random(profile.seed)) == first
+    stores = [workload.store(False), workload.store(False)]
+    assert all(isinstance(store, Store) for store in stores)
+    assert stores[0] is not stores[1]  # no run shares state with another
 
 
 def test_deck_mix_and_determinism():
@@ -326,6 +352,13 @@ def test_si_only_refuses_a_store_with_non_optimistic_items():
     assert {ev.op for ev in result.schedule} <= {"r", "w", "c", "a"}  # no locks
 
 
+def test_si_only_refuses_a_workload_store_with_non_optimistic_items():
+    # fig7's store factory ignores si_only; its R ledger must be refused, not run.
+    profile = EpochProfile(lambdas=(0.0,), template="fig7", epoch_ms=100.0)
+    with pytest.raises(ConfigurationError, match="ledger"):
+        ExperimentRunner(profile, engine_mode="si_only")
+
+
 def test_scenario_switch_rates_match_the_timeseries():
     result = overload_adaptation_scenario()
     first, second = result.adapt_events
@@ -356,10 +389,10 @@ def test_the_runner_refuses_a_window_that_is_not_finite_and_positive(
 ):
     # A zero or negative window rescheduled its boundary at the same instant
     # forever; nan and inf replayed the whole run, then failed in aggregate.
-    def no_replay(self):
+    def no_replay(self, *args, **kwargs):
         raise AssertionError("the replay started")
 
-    monkeypatch.setattr(ExperimentRunner, "_plan", no_replay)
+    monkeypatch.setattr(Scheduler, "run", no_replay)
     adapt_config = AdaptationConfig(gamma=0.9, delta=0.05) if controlled else None
     with pytest.raises(ConfigurationError, match="tw_ms"):
         run_experiment(EpochProfile(lambdas=(5.0,)), adapt_config, tw_ms=tw_ms)
