@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Optional
 from . import sg
 from .locks import AcquireStatus, LockManager
 from .semantic import EscrowLedger, reconcile_check, reconcile_commit
-from .store import CCClass, ConstraintViolationError, Store
+from .store import CCClass, ConstraintViolationError, Store, VersionedItem
 
 
 class Phase(Enum):
@@ -115,7 +115,7 @@ class WriteIntent(NamedTuple):
         return WriteIntent("delta", amount)
 
 
-@dataclass
+@dataclass(slots=True)
 class Txn:
     txn_id: int
     read_only: bool
@@ -193,12 +193,7 @@ class Engine:
         self._next_txn_id = 1
         self._active: dict[int, Txn] = {}
 
-    # -- trace helpers -----------------------------------------------------
-
-    def _emit(self, txn_id: int, op: str, item: str = "", detail: str = "") -> None:
-        self.trace.append(
-            sg.ScheduleEvent(int(self.clock()), txn_id, op, item, detail)
-        )
+    # -- admission -----------------------------------------------------------
 
     @staticmethod
     def _admit(txn: Txn, action: str, phases: tuple[Phase, ...] = (Phase.READING,)) -> None:
@@ -229,8 +224,8 @@ class Engine:
         A wait that would deadlock aborts this transaction instead.
         """
         self._admit(txn, "read")
-        if item_id in txn.read_set:
-            rec = txn.read_set[item_id]
+        rec = txn.read_set.get(item_id)
+        if rec is not None:
             return ReadOutcome(ReadStatus.DONE, rec.value, rec.version)
         item = self.store.item(item_id)
         if item.current_class is CCClass.P and not txn.read_only:
@@ -244,8 +239,9 @@ class Engine:
                 return ReadOutcome(
                     ReadStatus.ABORTED, abort_reason=AbortReason.DEADLOCK
                 )
-            self._emit(txn.txn_id, sg.LOCK, item_id, "P")
-        return self._record_read(txn, item_id)
+            lock = sg.ScheduleEvent(int(self.clock()), txn.txn_id, sg.LOCK, item_id, "P")
+            self.trace.append(lock)
+        return self._record_read(txn, item)
 
     def read_escrow(
         self, txn: Txn, item_id: str, intended_delta: float
@@ -266,16 +262,18 @@ class Engine:
             return ReadOutcome(
                 ReadStatus.ABORTED, abort_reason=AbortReason.CONSTRAINT
             )
-        return self._record_read(txn, item_id, granted=True)
+        return self._record_read(txn, item, granted=True)
 
-    def _record_read(self, txn: Txn, item_id: str, granted: bool = False) -> ReadOutcome:
-        item = self.store.item(item_id)
-        value, version = item.committed_value, item.version
-        txn.read_set[item_id] = ReadRecord(value, version, item.current_class)
+    def _record_read(self, txn: Txn, item: VersionedItem, granted: bool = False) -> ReadOutcome:
+        now = self.clock()
+        value, version, cls = item.committed_value, item.version, item.current_class
+        txn.read_set[item.id] = ReadRecord(value, version, cls)
         if txn.first_read_ms is None:
-            txn.first_read_ms = self.clock()
-        self._emit(txn.txn_id, sg.READ, item_id, f"v{version}@{item.current_class}")
-        return ReadOutcome(ReadStatus.DONE, value, version, granted=granted)
+            txn.first_read_ms = now
+        # _value_ is the member's value, read without the .value property
+        detail = f"v{version}@{cls._value_}"
+        self.trace.append(sg.ScheduleEvent(int(now), txn.txn_id, sg.READ, item.id, detail))
+        return ReadOutcome(ReadStatus.DONE, value, version, granted)
 
     def disconnect(self, txn: Txn) -> None:
         """End the read phase; locks and reservations persist."""
@@ -330,14 +328,16 @@ class Engine:
         # Semantic constraints: R deltas against the latest committed state,
         # absolute intents against their item constraint.  E deltas hold a
         # read-time guarantee and cannot fail here.
-        for item_id in sorted(txn.write_set):
-            intent = txn.write_set[item_id]
+        item_of = self.store.item
+        write_set = txn.write_set
+        for item_id in sorted(write_set):
+            intent = write_set[item_id]
             rec = txn.read_set[item_id]
             try:
                 if rec.class_at_read is CCClass.R:
                     reconcile_check(self.store, item_id, intent.amount)
                 elif intent.kind == "absolute":
-                    item = self.store.item(item_id)
+                    item = item_of(item_id)
                     if item.constraint is not None and not item.constraint.satisfied(
                         intent.amount
                     ):
@@ -345,50 +345,52 @@ class Engine:
             except ConstraintViolationError:
                 return AbortReason.CONSTRAINT
 
-        # Backward validation spans the whole optimistic read set, even for
-        # entries the transaction never writes.
+        # One pass over the read set checks, for each entry:
+        # * backward validation, over the whole optimistic read set, even
+        #   for entries the transaction never writes;
+        # * a residual lock on a written item now under optimistic control,
+        #   which marks a holder whose write is still guaranteed; installing
+        #   over it would bypass that guarantee, so it fails validation too;
+        # * an optimistic read of an item that meanwhile moved under locking,
+        #   which makes the transaction an unavoidable crash (the opposite
+        #   direction is safe because the lock is held since read time).
+        # Both validation failures outrank the reclassification.  R and E
+        # never change class, and an unwritten P read has nothing to check.
+        reclassified = False
         for item_id, rec in txn.read_set.items():
-            if rec.class_at_read is not CCClass.O:
+            read_optimistic = rec.class_at_read is CCClass.O
+            written = item_id in write_set
+            if not read_optimistic and (rec.class_at_read is not CCClass.P or not written):
                 continue
-            item = self.store.item(item_id)
-            if item.current_class is CCClass.O and item.version != rec.version:
-                return AbortReason.VALIDATION
-
-        # A residual lock on an item now under optimistic control marks a
-        # holder whose write is still guaranteed; installing over it would
-        # bypass that guarantee, so treat it like a validation failure.
-        for item_id in txn.write_set:
-            item = self.store.item(item_id)
+            item = item_of(item_id)
             if item.current_class is CCClass.O:
-                holder = self.locks.holder(item_id)
-                if holder is not None and holder != txn.txn_id:
+                if read_optimistic and item.version != rec.version:
                     return AbortReason.VALIDATION
-
-        # Items read optimistically that meanwhile moved under locking make
-        # the transaction an unavoidable crash; the opposite direction is
-        # safe because the lock is held since read time.
-        for item_id, rec in txn.read_set.items():
-            if rec.class_at_read is CCClass.O:
-                if self.store.item(item_id).current_class is CCClass.P:
-                    return AbortReason.RECLASSIFICATION
-        return None
+                if written:
+                    holder = self.locks.holder(item_id)
+                    if holder is not None and holder != txn.txn_id:
+                        return AbortReason.VALIDATION
+            elif read_optimistic and item.current_class is CCClass.P:
+                reclassified = True
+        return AbortReason.RECLASSIFICATION if reclassified else None
 
     def _apply(self, txn: Txn) -> None:
+        now = int(self.clock())
         for item_id in sorted(txn.write_set):
             intent = txn.write_set[item_id]
             rec = txn.read_set[item_id]
-            if rec.class_at_read is CCClass.E:
+            item = self.store.item(item_id)
+            cls = rec.class_at_read
+            if cls is CCClass.E:
                 self.escrow.commit(item_id, txn.txn_id)
-            elif rec.class_at_read is CCClass.R:
+            elif cls is CCClass.R:
                 reconcile_commit(self.store, item_id, intent.amount)
-            elif rec.class_at_read is CCClass.O:
+            elif cls is CCClass.O:
                 self.store.install_version(item_id, intent.amount, rec.version)
             else:  # P: the lock held since read time is the commit right
                 self.store.install_version(item_id, intent.amount)
-            item = self.store.item(item_id)
-            self._emit(
-                txn.txn_id, sg.WRITE, item_id, f"v{item.version}@{rec.class_at_read}"
-            )
+            detail = f"v{item.version}@{cls._value_}"
+            self.trace.append(sg.ScheduleEvent(now, txn.txn_id, sg.WRITE, item_id, detail))
 
     def abort(self, txn: Txn) -> bool:
         """Abort from any non-terminal phase; a no-op on terminated txns."""
@@ -400,11 +402,12 @@ class Engine:
     def _terminate(self, txn: Txn, phase: Phase, reason: Optional[AbortReason]) -> None:
         txn.phase = phase
         txn.abort_reason = reason
-        txn.termination_ms = self.clock()
+        txn.termination_ms = now = self.clock()
         if phase is Phase.COMMITTED:
-            self._emit(txn.txn_id, sg.COMMIT)
+            self.trace.append(sg.ScheduleEvent(int(now), txn.txn_id, sg.COMMIT))
         else:
-            self._emit(txn.txn_id, sg.ABORT, "", reason.value if reason else "")
+            detail = reason.value if reason else ""
+            self.trace.append(sg.ScheduleEvent(int(now), txn.txn_id, sg.ABORT, "", detail))
         txn.waiting_on = None  # release_all withdraws the queued request
         txn._pending_cb = None
         held = self.locks.held_by(txn.txn_id)
@@ -420,7 +423,7 @@ class Engine:
             first_read_ms=txn.first_read_ms,
             write_submit_ms=txn.write_submit_ms,
             termination_ms=txn.termination_ms,
-            items=tuple((i, r.class_at_read) for i, r in txn.read_set.items()),
+            items=tuple([(i, r.class_at_read) for i, r in txn.read_set.items()]),
             queue_snapshots=snapshots,
             service_ms=txn.service_ms,
         )
@@ -451,7 +454,8 @@ class Engine:
                 return
             txn_id = grant.txn_id
             txn = self._active.get(txn_id)
-        self._emit(txn.txn_id, sg.LOCK, item_id, "P")
+        lock = sg.ScheduleEvent(int(self.clock()), txn.txn_id, sg.LOCK, item_id, "P")
+        self.trace.append(lock)
         self._wake(txn, item_id)
 
     def _wake(self, txn: Txn, item_id: str) -> None:
@@ -459,7 +463,7 @@ class Engine:
         txn.waiting_on = None
         cb = txn._pending_cb
         txn._pending_cb = None
-        outcome = self._record_read(txn, item_id)
+        outcome = self._record_read(txn, self.store.item(item_id))
         if cb is not None:
             cb(outcome)
 

@@ -15,6 +15,15 @@ and the run's RNG into timed transactions.  ``single_item`` and
 stream; ``fig7``, the scripted overload scenario, is a fifteen-transaction
 script over its own store.
 
+Each transaction is a session: a generator that the scheduler steps
+straight off its heap, and that yields its think and service delays or
+parks until its lock is granted.  The plan, stably sorted by arrival time,
+is merged into the run as the scheduler's arrival stream, so the heap
+holds only in-flight events.  An arrival runs before any queued event due
+at the same time, and arrivals due together run in plan order; that is the
+order the run had when every arrival was queued up front, ahead of all
+other events.
+
 Transaction templates are class-agnostic: an access declares the item and
 an optional update delta, and the item's current class picks the
 mechanism (escrow reservation on E, delta reconciliation on R, absolute
@@ -22,10 +31,13 @@ write under lock or validation on P/O).
 
 A replay runs with the cyclic garbage collector paused and restores the
 caller's collector state when it ends.  This is safe because a replay
-makes no cyclic garbage: records are tuples, each session builds one
-resume continuation, and the engine's clock closes over the scheduler, not
-the runner.  Reference counting frees everything a replay drops, so a
-collector pass would only walk the run's live objects.  Engine and
+makes no cyclic garbage: records are tuples, and the engine's clock
+closes over the scheduler, not the runner.  A session's resume continuation
+refers to the session's own generator, which holds the continuation in its
+frame; that cycle lasts only while the session runs, because a finished
+generator drops its frame.  The scheduler lets go of the runner's arrival
+callback once the plan is used up.  Reference counting frees everything a
+replay drops, so a collector pass would only walk the run's live objects.  Engine and
 controller refer to each other only until the run ends, so a dropped runner
 is freed by reference counting too.  ``tests/test_harness.py`` pins this by
 finding no unreachable objects after replays run without the collector.
@@ -40,13 +52,14 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Any, Callable, Generator, Iterator, NamedTuple, Optional
+from operator import itemgetter
+from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import metrics, sg
 from .adaptation import AdaptationConfig, AdaptEvent, Controller, Mode
 from .engine import Engine, ReadOutcome, ReadStatus, TerminationRecord, Txn, WriteIntent
 from .metrics import Summary, TimeWindowRow
-from .simclock import Scheduler
+from .simclock import Scheduler, Session
 from .store import CCClass, Constraint, Store
 
 TEMPLATE_SINGLE_ITEM = "single_item"
@@ -88,14 +101,12 @@ class EpochProfile:
             raise ConfigurationError("epoch_ms must be positive")
 
 
-@dataclass(frozen=True)
-class Access:
+class Access(NamedTuple):
     item: str
     delta: Optional[float] = None  # None: plain read
 
 
-@dataclass(frozen=True)
-class TxnTemplate:
+class TxnTemplate(NamedTuple):
     name: str
     accesses: tuple[Access, ...]
     read_only: bool = False
@@ -276,7 +287,8 @@ class ExperimentRunner:
 
     ``tw_ms`` (100 ms when None; finite and > 0) is the run's one window
     width: of the timeseries, of the summary's commit-rate series and, in
-    TIME_WINDOW mode, of the controller.
+    TIME_WINDOW mode, of the controller.  ``op_cost_ms`` (finite and >= 0)
+    is the virtual time each read, and each write at submission, costs.
     """
 
     def __init__(
@@ -292,6 +304,10 @@ class ExperimentRunner:
         self.tw_ms = 100.0 if tw_ms is None else tw_ms
         if not 0 < self.tw_ms < math.inf:
             raise ConfigurationError(f"tw_ms must be a finite number > 0, not {self.tw_ms!r}")
+        if not 0 <= op_cost_ms < math.inf:
+            raise ConfigurationError(
+                f"op_cost_ms must be a finite number >= 0, not {op_cost_ms!r}"
+            )
         if engine_mode not in ("orpe", "si_only"):
             raise ConfigurationError(f"unknown engine_mode {engine_mode!r}")
         self.store = store or WORKLOADS[profile.template].store(engine_mode == "si_only")
@@ -321,77 +337,65 @@ class ExperimentRunner:
         adaptable = [item.id for item in self.store.items() if item.adaptable]
         self._watched = adaptable[0] if len(adaptable) == 1 else None
         self.arrivals: list[float] = []
-        self._generators: dict[int, Generator] = {}
-        self._spawn_remaining = 0
+        self._planned = 0
+        self._escrow_items: set[str] = set()
         self._samples: list[tuple[float, float, str]] = []
         self._ran = False
 
     # -- session execution --------------------------------------------------
 
     def _session(
-        self, txn: Txn, template: TxnTemplate, dt_ms: float
-    ) -> Generator[Optional[float], Optional[ReadOutcome], None]:
+        self,
+        txn: Txn,
+        template: TxnTemplate,
+        dt_ms: float,
+        resume: Callable[[ReadOutcome], None],
+    ) -> Session:
         # Yields a delay in virtual ms, or None while a lock grant is due.
         engine = self.engine
-        resume = partial(self._resume, txn.txn_id)
-        for access in template.accesses:
-            current = self.store.item(access.item).current_class
-            if (
-                access.delta is not None
-                and current is CCClass.E
-                and not template.read_only
-            ):
-                outcome = engine.read_escrow(txn, access.item, access.delta)
+        op_cost_ms = self.op_cost_ms
+        escrow = () if template.read_only else self._escrow_items
+        for item_id, delta in template.accesses:
+            if delta is not None and item_id in escrow:
+                outcome = engine.read_escrow(txn, item_id, delta)
             else:
-                outcome = engine.read(txn, access.item, on_complete=resume)
+                outcome = engine.read(txn, item_id, resume)
                 if outcome.status is ReadStatus.WAITING:
                     outcome = yield
             if outcome.status is ReadStatus.ABORTED:
                 return
-            if self.op_cost_ms > 0:
-                txn.service_ms += self.op_cost_ms
-                yield self.op_cost_ms
+            if op_cost_ms > 0:
+                txn.service_ms += op_cost_ms
+                yield op_cost_ms
         writes: dict[str, WriteIntent] = {}
         if not template.read_only:
-            for access in template.accesses:
-                if access.delta is None:
+            read_set = txn.read_set
+            for item_id, delta in template.accesses:
+                if delta is None:
                     continue
-                record = txn.read_set[access.item]
+                record = read_set[item_id]
                 if record.class_at_read in (CCClass.R, CCClass.E):
-                    writes[access.item] = WriteIntent.delta(access.delta)
+                    writes[item_id] = WriteIntent("delta", delta)
                 else:
-                    writes[access.item] = WriteIntent.absolute(
-                        record.value + access.delta
-                    )
+                    writes[item_id] = WriteIntent("absolute", record.value + delta)
         engine.disconnect(txn)
         if dt_ms > 0:
             yield dt_ms
-        if writes and self.op_cost_ms > 0:
-            cost = self.op_cost_ms * len(writes)
+        if writes and op_cost_ms > 0:
+            cost = op_cost_ms * len(writes)
             txn.service_ms += cost
             yield cost
         engine.submit_write_set(txn, writes)
         engine.commit_pipeline(txn)
 
-    def _resume(self, txn_id: int, outcome: ReadOutcome) -> None:
-        # Re-enter the session on a fresh event, never synchronously.
-        self.scheduler.call_at(self.scheduler.now_ms, partial(self._advance, txn_id, outcome))
-
-    def _spawn(self, template: TxnTemplate, dt_ms: float) -> None:
-        self._spawn_remaining -= 1
+    def _start(self, row: tuple[float, TxnTemplate, float]) -> Session:
+        # An arrival: begin the txn now and hand its session to the scheduler.
+        _, template, dt_ms = row
         self.arrivals.append(self.scheduler.now_ms)
         txn = self.engine.begin(read_only=template.read_only)
-        self._generators[txn.txn_id] = self._session(txn, template, dt_ms)
-        self._advance(txn.txn_id, None)
-
-    def _advance(self, txn_id: int, value: Optional[ReadOutcome]) -> None:
-        try:
-            delay = self._generators[txn_id].send(value)
-        except StopIteration:
-            del self._generators[txn_id]
-            return
-        if delay is not None:  # None: the engine continuation resumes it
-            self.scheduler.call_later(delay, partial(self._advance, txn_id, None))
+        resume = self.scheduler.resume  # the continuation must not hold the runner
+        session = self._session(txn, template, dt_ms, lambda outcome: resume(session, outcome))
+        return session
 
     # -- measurement --------------------------------------------------------
 
@@ -405,7 +409,7 @@ class ExperimentRunner:
         else:
             cls, rt = "-", 0.0
         self._samples.append((now, rt, cls))
-        if self._spawn_remaining > 0 or self._generators:
+        if len(self.events) < self._planned:  # some arrival is due or in flight
             self.scheduler.call_later(self.tw_ms, self._boundary)
 
     # -- top level -----------------------------------------------------------
@@ -428,12 +432,13 @@ class ExperimentRunner:
 
     def _run(self, out_dir: Optional[str]) -> ExperimentResult:
         plan = WORKLOADS[self.profile.template].plan(self.profile, self.rng)
-        self._spawn_remaining = len(plan)
-        for when, template, dt in plan:
-            self.scheduler.call_at(when, partial(self._spawn, template, dt))
+        self._planned = len(plan)
+        # E is a static class: no item moves into or out of it.
+        self._escrow_items = {i.id for i in self.store.items() if i.static_class is CCClass.E}
+        self.scheduler.merge_arrivals(sorted(plan, key=itemgetter(0)), self._start)
         self.scheduler.call_later(self.tw_ms, self._boundary)
         self.scheduler.run()
-        if self._generators or self._spawn_remaining:
+        if len(self.events) < len(plan):
             raise RuntimeError("experiment ended with unterminated transactions")
         if not self.events:
             raise ConfigurationError("profile spawned no transactions")
@@ -443,7 +448,7 @@ class ExperimentRunner:
         timeseries = metrics.aggregate(
             self.events, self.tw_ms, samples=self._samples, arrivals=self.arrivals
         )
-        summary = metrics.summarize(self.events, elapsed, self.tw_ms)
+        summary = metrics.summarize(self.events, elapsed, self.tw_ms, timeseries)
         result = ExperimentResult(
             profile=self.profile,
             events=self.events,

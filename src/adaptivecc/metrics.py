@@ -154,13 +154,18 @@ def aggregate(
 
 
 def summarize(
-    events: Iterable[TerminationRecord], elapsed_ms: float, tw_ms: float = 100.0
+    events: Iterable[TerminationRecord],
+    elapsed_ms: float,
+    tw_ms: float = 100.0,
+    series: Optional[Sequence[TimeWindowRow]] = None,
 ) -> Summary:
     """Whole-run summary.
 
     mean/std of the commit rate are taken over the time-window series
     (population standard deviation, for determinism on short runs); the
     effective commit rate is the overall committed/terminated ratio.
+    ``series`` is ``aggregate(events, tw_ms)`` when the caller has it
+    already (its commit rates do not depend on the samples or arrivals).
     """
     events = list(events)
     if not events:
@@ -169,7 +174,8 @@ def summarize(
         raise ValueError("elapsed_ms must be positive")
     commits = [e for e in events if e.outcome == "commit"]
     aborts = [e for e in events if e.outcome != "commit"]
-    series = aggregate(events, tw_ms)
+    if series is None:
+        series = aggregate(events, tw_ms)
     cr_values = [row.cr for row in series]
     by_reason = {
         reason.value: sum(1 for e in aborts if e.abort_reason is reason) / len(events)
@@ -192,7 +198,8 @@ def summarize(
 
 
 def _format_items(items: tuple[tuple[str, CCClass], ...]) -> str:
-    return ";".join(f"{item}@{cls}" for item, cls in items)
+    # _value_ is the member's value, read without the .value property
+    return ";".join([f"{item}@{cls._value_}" for item, cls in items])
 
 
 def _parse_items(cell: str) -> tuple[tuple[str, CCClass], ...]:
@@ -203,20 +210,22 @@ def _parse_items(cell: str) -> tuple[tuple[str, CCClass], ...]:
 
 
 def write_terminations_csv(events: Iterable[TerminationRecord], outfile: TextIO) -> None:
+    # TerminationRecord's integer views (time_ms, response_time_ms and
+    # service_time_ms), computed inline: no property call per row.
     writer = csv.writer(outfile)
     writer.writerow(TERMINATION_COLUMNS)
-    for ev in events:
-        writer.writerow(
-            [
-                ev.txn_id,
-                ev.time_ms,
-                ev.outcome,
-                ev.abort_reason.value if ev.abort_reason else "",
-                ev.response_time_ms,
-                ev.service_time_ms,
-                _format_items(ev.items),
-            ]
+    writer.writerows(
+        (
+            ev.txn_id,
+            int(ev.termination_ms),
+            ev.outcome,
+            ev.abort_reason._value_ if ev.abort_reason else "",
+            response := int(ev.termination_ms - ev.arrival_ms),
+            min(int(ev.service_ms), response),
+            _format_items(ev.items),
         )
+        for ev in events
+    )
 
 
 def read_terminations_csv(infile: TextIO) -> list[TerminationRecord]:

@@ -50,18 +50,21 @@ class EscrowLedger:
     """Per-item reservation bookkeeping for class-E items.
 
     At most one reservation per (item, transaction); a repeated request
-    replaces the old delta only if the books still balance without it.
+    replaces the old delta only if the books still balance without it.  A
+    per-transaction index of the items it holds grants on makes
+    ``grants_of`` and ``release_all`` cost O(own grants).
     """
 
     def __init__(self, store: Store) -> None:
         self._store = store
         self._pending: dict[str, dict[int, float]] = {}
+        self._items_of: dict[int, set[str]] = {}  # txn -> items it holds grants on
 
     def granted_delta(self, item_id: str, txn_id: int) -> Optional[float]:
         return self._pending.get(item_id, {}).get(txn_id)
 
     def grants_of(self, txn_id: int) -> tuple[str, ...]:
-        return tuple(sorted(i for i, g in self._pending.items() if txn_id in g))
+        return tuple(sorted(self._items_of.get(txn_id, ())))
 
     def _feasible(self, item_id: str, txn_id: int, delta: float) -> bool:
         item = self._store.item(item_id)
@@ -87,17 +90,27 @@ class EscrowLedger:
         pending = self._pending.setdefault(item_id, {})
         pending.pop(txn_id, None)
         pending[txn_id] = delta
+        self._items_of.setdefault(txn_id, set()).add(item_id)
         return True
+
+    def _drop(self, item_id: str, txn_id: int) -> float:
+        # Remove the grant from both indexes; it must exist.
+        pending = self._pending[item_id]
+        delta = pending.pop(txn_id)
+        if not pending:
+            del self._pending[item_id]
+        items = self._items_of[txn_id]
+        items.remove(item_id)
+        if not items:
+            del self._items_of[txn_id]
+        return delta
 
     def commit(self, item_id: str, txn_id: int) -> float:
         """Apply the granted delta; cannot violate the constraint by
         construction of the grant. Returns the new committed value."""
-        pending = self._pending.get(item_id, {})
-        if txn_id not in pending:
+        if txn_id not in self._pending.get(item_id, {}):
             raise LookupError(f"txn {txn_id} holds no escrow grant on {item_id}")
-        delta = pending.pop(txn_id)
-        if not pending:
-            self._pending.pop(item_id, None)
+        delta = self._drop(item_id, txn_id)
         item = self._store.item(item_id)
         new_value = item.committed_value + delta
         self._store.install_version(item_id, new_value)
@@ -105,12 +118,9 @@ class EscrowLedger:
 
     def release(self, item_id: str, txn_id: int) -> None:
         """Drop a reservation if present (abort path); widens the interval."""
-        pending = self._pending.get(item_id)
-        if pending is not None:
-            pending.pop(txn_id, None)
-            if not pending:
-                self._pending.pop(item_id, None)
+        if txn_id in self._pending.get(item_id, {}):
+            self._drop(item_id, txn_id)
 
     def release_all(self, txn_id: int) -> None:
-        for item_id in self.grants_of(txn_id):
-            self.release(item_id, txn_id)
+        for item_id in tuple(self._items_of.get(txn_id, ())):
+            self._drop(item_id, txn_id)

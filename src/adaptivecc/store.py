@@ -27,11 +27,6 @@ class CCClass(Enum):
     def __str__(self) -> str:
         return self.value
 
-    def __format__(self, spec: str) -> str:
-        # Same text as Enum.__format__ via __str__, without its dispatch:
-        # the engine formats a class into every read and write it traces.
-        return format(self._value_, spec)
-
 
 class StoreError(Exception):
     pass

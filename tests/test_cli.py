@@ -88,7 +88,11 @@ def test_run_command_refuses_a_zero_window(tmp_path):
     assert "tw_ms must be a finite number > 0" in done.stderr
 
 
-@pytest.mark.parametrize("setting", ["tw_ms = 0", "template = fig7"], ids=["tw_ms", "template"])
+@pytest.mark.parametrize(
+    "setting",
+    ["tw_ms = 0", "template = fig7", "op_cost_ms = -1"],
+    ids=["tw_ms", "template", "op_cost_ms"],
+)
 def test_run_command_exits_2_on_a_bad_config(tmp_path, capsys, setting):
     # fig7 is a harness workload, but a run config may not name it.
     path = tmp_path / "exp.conf"

@@ -413,3 +413,32 @@ def test_adaptation_csv_round_trips_an_item_id_with_a_comma(tmp_path):
         (int(ev.time_ms), ev.item_id, ev.from_class.value, ev.to_class.value, ev.rule)
         for ev in result.adapt_events
     ]
+
+
+@pytest.mark.parametrize("op_cost_ms", [-1, -math.inf, math.nan, math.inf])
+@pytest.mark.parametrize("controlled", [False, True], ids=["no_controller", "controller"])
+def test_the_runner_refuses_an_op_cost_that_is_not_finite_and_non_negative(
+    op_cost_ms, controlled, monkeypatch
+):
+    # inf parked a session at t = inf while the boundary rescheduled itself
+    # forever; nan and negative costs replayed with no cost charged.
+    def no_replay(self, *args, **kwargs):
+        raise AssertionError("the replay started")
+
+    monkeypatch.setattr(Scheduler, "run", no_replay)
+    adapt_config = AdaptationConfig(gamma=0.9, delta=0.05) if controlled else None
+    with pytest.raises(ConfigurationError, match="op_cost_ms"):
+        run_experiment(EpochProfile(lambdas=(5.0,)), adapt_config, op_cost_ms=op_cost_ms)
+
+
+def test_the_heap_holds_only_in_flight_events_on_a_long_plan():
+    # Arrivals are merged from the plan, not pushed up front: a 10k-arrival
+    # plan keeps the heap at the few events of the transactions in flight.
+    runner = ExperimentRunner(EpochProfile(lambdas=(1000.0,) * 11, seed=3))
+    longest = []
+    runner.engine.termination_sinks.append(
+        lambda record: longest.append(len(runner.scheduler._queue))
+    )
+    result = runner.run()
+    assert result.spawned >= 10_000
+    assert max(longest) < 200

@@ -350,6 +350,8 @@ def test_escrow_ledger_matches_copying_oracle(items, ops):
                     item_id, txn_id
                 ), (step, op, item_id, txn_id)
             assert stores[0].read_committed(item_id) == stores[1].read_committed(item_id)
+        for txn_id in ESCROW_TXNS:  # the per-txn index agrees with a full scan
+            assert ledger.grants_of(txn_id) == oracle.grants_of(txn_id), (step, op, txn_id)
         # same reservations in the same order, so the same float sums
         assert {i: list(g.items()) for i, g in ledger._pending.items()} == {
             i: list(g.items()) for i, g in oracle._pending.items()
