@@ -27,9 +27,18 @@ The engine is single-threaded: the engine, its lock manager and its escrow
 ledger take no locks, and all calls into one engine must come from one
 thread (the harness drives it from one discrete-event loop).  Only the
 ``Store`` keeps a mutex: used directly, from several threads, its installs
-stay atomic per item.  The records the engine hands out (read outcomes,
-read records, write intents, termination records) are immutable named
-tuples, cheap to build on every operation.
+stay atomic per item.
+
+The records the engine hands out (read outcomes, read records, write
+intents, termination records, trace rows) are immutable ``NamedTuple``s:
+their constructors, attribute access and equality with plain tuples are
+the public interface.  On the per-operation path they are built as
+``tuple.__new__(Cls, (every field))``, which skips the class's
+Python-level ``__new__`` and its arity check and defaults; the read
+outcomes that carry no value (waiting, and the deadlock and constraint
+aborts) are shared module constants.  ``tests/test_records.py`` replays
+whole runs and checks every record handed out against the public
+constructor.
 
 Read-only transactions never lock or reserve and always commit; each of
 their reads is served from the latest committed state, so a multi-item
@@ -47,6 +56,8 @@ from . import sg
 from .locks import AcquireStatus, LockManager
 from .semantic import EscrowLedger, reconcile_check, reconcile_commit
 from .store import CCClass, ConstraintViolationError, Store, VersionedItem
+
+_new = tuple.__new__  # _new(Cls, fields): a NamedTuple without its Python-level __new__
 
 
 class Phase(Enum):
@@ -92,6 +103,11 @@ class ReadOutcome(NamedTuple):
     version: int = 0
     granted: bool = False  # escrow reads: reservation granted
     abort_reason: Optional[AbortReason] = None
+
+
+_WAITING = ReadOutcome(ReadStatus.WAITING)
+_DEADLOCKED = ReadOutcome(ReadStatus.ABORTED, abort_reason=AbortReason.DEADLOCK)
+_REFUSED = ReadOutcome(ReadStatus.ABORTED, abort_reason=AbortReason.CONSTRAINT)
 
 
 class ReadRecord(NamedTuple):
@@ -226,21 +242,19 @@ class Engine:
         self._admit(txn, "read")
         rec = txn.read_set.get(item_id)
         if rec is not None:
-            return ReadOutcome(ReadStatus.DONE, rec.value, rec.version)
+            return _new(ReadOutcome, (ReadStatus.DONE, rec.value, rec.version, False, None))
         item = self.store.item(item_id)
         if item.current_class is CCClass.P and not txn.read_only:
             status = self.locks.acquire(txn.txn_id, item_id)
             if status is AcquireStatus.QUEUED:
                 txn.waiting_on = item_id
                 txn._pending_cb = on_complete
-                return ReadOutcome(ReadStatus.WAITING)
+                return _WAITING
             if status is AcquireStatus.DEADLOCK_REFUSED:
                 self._terminate(txn, Phase.ABORTED, AbortReason.DEADLOCK)
-                return ReadOutcome(
-                    ReadStatus.ABORTED, abort_reason=AbortReason.DEADLOCK
-                )
-            lock = sg.ScheduleEvent(int(self.clock()), txn.txn_id, sg.LOCK, item_id, "P")
-            self.trace.append(lock)
+                return _DEADLOCKED
+            lock = (int(self.clock()), txn.txn_id, sg.LOCK, item_id, "P")
+            self.trace.append(_new(sg.ScheduleEvent, lock))
         return self._record_read(txn, item)
 
     def read_escrow(
@@ -259,21 +273,19 @@ class Engine:
             raise IntentError(f"{item_id} is not escrow-controlled")
         if not self.escrow.request(item_id, txn.txn_id, intended_delta):
             self._terminate(txn, Phase.ABORTED, AbortReason.CONSTRAINT)
-            return ReadOutcome(
-                ReadStatus.ABORTED, abort_reason=AbortReason.CONSTRAINT
-            )
+            return _REFUSED
         return self._record_read(txn, item, granted=True)
 
     def _record_read(self, txn: Txn, item: VersionedItem, granted: bool = False) -> ReadOutcome:
         now = self.clock()
         value, version, cls = item.committed_value, item.version, item.current_class
-        txn.read_set[item.id] = ReadRecord(value, version, cls)
+        txn.read_set[item.id] = _new(ReadRecord, (value, version, cls))
         if txn.first_read_ms is None:
             txn.first_read_ms = now
         # _value_ is the member's value, read without the .value property
-        detail = f"v{version}@{cls._value_}"
-        self.trace.append(sg.ScheduleEvent(int(now), txn.txn_id, sg.READ, item.id, detail))
-        return ReadOutcome(ReadStatus.DONE, value, version, granted)
+        row = (int(now), txn.txn_id, sg.READ, item.id, f"v{version}@{cls._value_}")
+        self.trace.append(_new(sg.ScheduleEvent, row))
+        return _new(ReadOutcome, (ReadStatus.DONE, value, version, granted, None))
 
     def disconnect(self, txn: Txn) -> None:
         """End the read phase; locks and reservations persist."""
@@ -316,21 +328,22 @@ class Engine:
         if txn.phase is not Phase.WRITING:
             raise PhaseError(f"txn {txn.txn_id} cannot commit in phase {txn.phase}")
         if not txn.read_only:
-            reason = self._validate(txn)
+            order = sorted(txn.write_set)  # canonical id order, for checks and installs
+            reason = self._validate(txn, order)
             if reason is not None:
                 self._terminate(txn, Phase.ABORTED, reason)
                 return Phase.ABORTED, reason
-            self._apply(txn)
+            self._apply(txn, order)
         self._terminate(txn, Phase.COMMITTED, None)
         return Phase.COMMITTED, None
 
-    def _validate(self, txn: Txn) -> Optional[AbortReason]:
+    def _validate(self, txn: Txn, order: list[str]) -> Optional[AbortReason]:
         # Semantic constraints: R deltas against the latest committed state,
         # absolute intents against their item constraint.  E deltas hold a
         # read-time guarantee and cannot fail here.
         item_of = self.store.item
         write_set = txn.write_set
-        for item_id in sorted(write_set):
+        for item_id in order:
             intent = write_set[item_id]
             rec = txn.read_set[item_id]
             try:
@@ -374,11 +387,14 @@ class Engine:
                 reclassified = True
         return AbortReason.RECLASSIFICATION if reclassified else None
 
-    def _apply(self, txn: Txn) -> None:
+    def _apply(self, txn: Txn, order: list[str]) -> None:
+        # _validate checked each R delta against the state it installs over,
+        # in this same call; reconcile_commit does not check it again.
         now = int(self.clock())
-        for item_id in sorted(txn.write_set):
-            intent = txn.write_set[item_id]
-            rec = txn.read_set[item_id]
+        write_set, read_set = txn.write_set, txn.read_set
+        for item_id in order:
+            intent = write_set[item_id]
+            rec = read_set[item_id]
             item = self.store.item(item_id)
             cls = rec.class_at_read
             if cls is CCClass.E:
@@ -389,8 +405,8 @@ class Engine:
                 self.store.install_version(item_id, intent.amount, rec.version)
             else:  # P: the lock held since read time is the commit right
                 self.store.install_version(item_id, intent.amount)
-            detail = f"v{item.version}@{cls._value_}"
-            self.trace.append(sg.ScheduleEvent(now, txn.txn_id, sg.WRITE, item_id, detail))
+            row = (now, txn.txn_id, sg.WRITE, item_id, f"v{item.version}@{cls._value_}")
+            self.trace.append(_new(sg.ScheduleEvent, row))
 
     def abort(self, txn: Txn) -> bool:
         """Abort from any non-terminal phase; a no-op on terminated txns."""
@@ -403,11 +419,12 @@ class Engine:
         txn.phase = phase
         txn.abort_reason = reason
         txn.termination_ms = now = self.clock()
-        if phase is Phase.COMMITTED:
-            self.trace.append(sg.ScheduleEvent(int(now), txn.txn_id, sg.COMMIT))
+        committed = phase is Phase.COMMITTED
+        if committed:
+            row = (int(now), txn.txn_id, sg.COMMIT, "", "")
         else:
-            detail = reason.value if reason else ""
-            self.trace.append(sg.ScheduleEvent(int(now), txn.txn_id, sg.ABORT, "", detail))
+            row = (int(now), txn.txn_id, sg.ABORT, "", reason._value_ if reason else "")
+        self.trace.append(_new(sg.ScheduleEvent, row))
         txn.waiting_on = None  # release_all withdraws the queued request
         txn._pending_cb = None
         held = self.locks.held_by(txn.txn_id)
@@ -415,18 +432,19 @@ class Engine:
         _, grants = self.locks.release_all(txn.txn_id, held)
         self.escrow.release_all(txn.txn_id)
         self._active.pop(txn.txn_id, None)
-        record = TerminationRecord(
-            txn_id=txn.txn_id,
-            outcome="commit" if phase is Phase.COMMITTED else "abort",
-            abort_reason=reason,
-            arrival_ms=txn.arrival_ms,
-            first_read_ms=txn.first_read_ms,
-            write_submit_ms=txn.write_submit_ms,
-            termination_ms=txn.termination_ms,
-            items=tuple([(i, r.class_at_read) for i, r in txn.read_set.items()]),
-            queue_snapshots=snapshots,
-            service_ms=txn.service_ms,
-        )
+        # every field, in TerminationRecord's order
+        record = _new(TerminationRecord, (
+            txn.txn_id,
+            "commit" if committed else "abort",
+            reason,
+            txn.arrival_ms,
+            txn.first_read_ms,
+            txn.write_submit_ms,
+            now,
+            tuple([(i, r.class_at_read) for i, r in txn.read_set.items()]),
+            snapshots,
+            txn.service_ms,
+        ))
         # A raising continuation or sink stops neither the other grants nor
         # the other sinks; the first error surfaces once all have run.
         error: Optional[Exception] = None
@@ -454,8 +472,8 @@ class Engine:
                 return
             txn_id = grant.txn_id
             txn = self._active.get(txn_id)
-        lock = sg.ScheduleEvent(int(self.clock()), txn.txn_id, sg.LOCK, item_id, "P")
-        self.trace.append(lock)
+        lock = (int(self.clock()), txn.txn_id, sg.LOCK, item_id, "P")
+        self.trace.append(_new(sg.ScheduleEvent, lock))
         self._wake(txn, item_id)
 
     def _wake(self, txn: Txn, item_id: str) -> None:

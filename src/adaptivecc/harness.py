@@ -112,6 +112,9 @@ class TxnTemplate(NamedTuple):
     read_only: bool = False
 
 
+_new = tuple.__new__  # _new(Cls, fields): a NamedTuple without its Python-level __new__
+
+
 def poisson_arrivals(lam: float, duration_ms: float, rng: random.Random) -> list[float]:
     """Arrival offsets within [0, duration_ms) at ``lam`` per second."""
     if lam < 0:
@@ -153,20 +156,23 @@ def tpcc_store(si_only: bool = False) -> Store:
 
 
 # TPC-C style transaction mix: one row per deck transaction with its count
-# per 100-transaction deck and its accesses, whose deltas are drawn from the rng.
+# per 100-transaction deck and its accesses, whose deltas are drawn from the
+# rng.  Accesses without a drawn delta are shared constants.
+_CUSTOMER, _CREDIT, _BALANCE, _STOCK = map(
+    Access, ("Customer", "CustomerCredit", "CustomerBalance", "StockQuantity")
+)
+_CREDIT_BUMP = Access("CustomerCredit", delta=1)
 _DECK: tuple[tuple[str, int, Callable[[random.Random], tuple[Access, ...]]], ...] = (
     ("new_order", 42, lambda rng: (
-        Access("Customer"), Access("CustomerCredit"),
-        Access("StockQuantity", delta=-rng.randint(1, 10)))),
+        _CUSTOMER, _CREDIT, _new(Access, ("StockQuantity", -rng.randint(1, 10))))),
     ("payment", 42, lambda rng: (  # one amount leaves the balance for both YTDs
-        Access("Customer"), Access("CustomerBalance", delta=-(amount := rng.randint(1, 100))),
-        Access("WarehouseYTD", delta=amount), Access("DistrictYTD", delta=amount))),
+        _CUSTOMER, _new(Access, ("CustomerBalance", -(amount := rng.randint(1, 100)))),
+        _new(Access, ("WarehouseYTD", amount)), _new(Access, ("DistrictYTD", amount)))),
     ("delivery", 4, lambda rng: (
-        Access("Customer"), Access("CustomerBalance", delta=rng.randint(1, 50)))),
-    ("credit_check", 4, lambda rng: (
-        Access("Customer"), Access("CustomerCredit", delta=1), Access("CustomerBalance"))),
-    ("update_stock_level", 4, lambda rng: (Access("StockQuantity", delta=rng.randint(10, 100)),)),
-    ("read_stock_level", 4, lambda rng: (Access("StockQuantity"),)),
+        _CUSTOMER, _new(Access, ("CustomerBalance", rng.randint(1, 50))))),
+    ("credit_check", 4, lambda rng: (_CUSTOMER, _CREDIT_BUMP, _BALANCE)),
+    ("update_stock_level", 4, lambda rng: (_new(Access, ("StockQuantity", rng.randint(10, 100))),)),
+    ("read_stock_level", 4, lambda rng: (_STOCK,)),
 )
 DECK_MIX = tuple((name, count) for name, count, _ in _DECK)
 
@@ -179,7 +185,10 @@ def tpcc_deck(rng: random.Random) -> list[TxnTemplate]:
     rows = [row for row in _DECK for _ in range(row[1])]
     rng.shuffle(rows)
     drawn = [(name, accesses(rng)) for name, _, accesses in rows]
-    return [TxnTemplate(name, acc, all(a.delta is None for a in acc)) for name, acc in drawn]
+    return [
+        _new(TxnTemplate, (name, acc, all([delta is None for _, delta in acc])))
+        for name, acc in drawn
+    ]
 
 
 def single_item_template() -> TxnTemplate:
@@ -373,11 +382,11 @@ class ExperimentRunner:
             for item_id, delta in template.accesses:
                 if delta is None:
                     continue
-                record = read_set[item_id]
-                if record.class_at_read in (CCClass.R, CCClass.E):
-                    writes[item_id] = WriteIntent("delta", delta)
+                value, _, cls = read_set[item_id]
+                if cls is CCClass.R or cls is CCClass.E:
+                    writes[item_id] = _new(WriteIntent, ("delta", delta))
                 else:
-                    writes[item_id] = WriteIntent("absolute", record.value + delta)
+                    writes[item_id] = _new(WriteIntent, ("absolute", value + delta))
         engine.disconnect(txn)
         if dt_ms > 0:
             yield dt_ms
@@ -442,8 +451,10 @@ class ExperimentRunner:
             raise RuntimeError("experiment ended with unterminated transactions")
         if not self.events:
             raise ConfigurationError("profile spawned no transactions")
+        # the last termination's integer stamp, or the profile's end if later
         elapsed = max(
-            [e.time_ms for e in self.events] + [self.profile.epoch_ms * len(self.profile.lambdas)]
+            max([int(e.termination_ms) for e in self.events]),
+            self.profile.epoch_ms * len(self.profile.lambdas),
         )
         timeseries = metrics.aggregate(
             self.events, self.tw_ms, samples=self._samples, arrivals=self.arrivals

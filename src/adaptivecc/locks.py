@@ -29,6 +29,8 @@ from collections import deque
 from enum import Enum
 from typing import NamedTuple, Optional
 
+_new = tuple.__new__  # _new(Cls, fields): a NamedTuple without its Python-level __new__
+
 
 class AcquireStatus(Enum):
     GRANTED = "granted"
@@ -167,7 +169,7 @@ class LockManager:
         del self._waiting[next_holder]
         self._holders[item_id] = next_holder
         self._held.setdefault(next_holder, set()).add(item_id)
-        return Grant(item_id, next_holder, queue_len)
+        return _new(Grant, (item_id, next_holder, queue_len))
 
     def withdraw(self, txn_id: int, item_id: str) -> bool:
         """Remove a queued (not granted) request; its WFG edges vanish."""

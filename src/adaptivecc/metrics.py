@@ -100,12 +100,13 @@ def aggregate(
     events = list(events)
     if not events:
         return []
-    n_buckets = int(max(e.time_ms for e in events) // tw_ms) + 1
+    # int(termination_ms) is the record's integer stamp (its time_ms view)
+    n_buckets = int(max([int(e.termination_ms) for e in events]) // tw_ms) + 1
     committed = [0] * n_buckets
     aborted = [0] * n_buckets
     reclass = [0] * n_buckets
     for ev in events:
-        bucket = int(ev.time_ms // tw_ms)
+        bucket = int(int(ev.termination_ms) // tw_ms)
         if ev.outcome == "commit":
             committed[bucket] += 1
         else:
@@ -166,40 +167,44 @@ def summarize(
     effective commit rate is the overall committed/terminated ratio.
     ``series`` is ``aggregate(events, tw_ms)`` when the caller has it
     already (its commit rates do not depend on the samples or arrivals).
+    With ``series`` given, the records are read in one pass.
     """
-    events = list(events)
-    if not events:
+    if series is None:
+        events = list(events)
+        series = aggregate(events, tw_ms)
+    # One pass over the records, through their integer views (computed
+    # inline: no property call per record).  The sums are of ints, so they
+    # are exact, and the mean is the one fmean takes over the same ints.
+    total = commits = rt_sum = service_sum = 0
+    aborts_by: dict[object, int] = {}
+    for _, outcome, reason, arrival, _, _, termination, _, _, service in events:
+        total += 1
+        response = int(termination - arrival)
+        rt_sum += response
+        if outcome == "commit":
+            commits += 1
+            service_sum += min(int(service), response)
+        else:
+            aborts_by[reason] = aborts_by.get(reason, 0) + 1
+    if not total:
         raise ValueError("no termination events to summarize")
     if elapsed_ms <= 0:
         raise ValueError("elapsed_ms must be positive")
-    commits = [e for e in events if e.outcome == "commit"]
-    aborts = [e for e in events if e.outcome != "commit"]
-    if series is None:
-        series = aggregate(events, tw_ms)
     cr_values = [row.cr for row in series]
-    by_reason = {
-        reason.value: sum(1 for e in aborts if e.abort_reason is reason) / len(events)
-        for reason in AbortReason
-    }
     return Summary(
-        mean_rt_ms=fmean(e.response_time_ms for e in events),
+        mean_rt_ms=float(rt_sum) / total,
         mean_cr=fmean(cr_values),
         std_cr=pstdev(cr_values),
-        mean_cr_eff=len(commits) / len(events),
-        tas=len(events),
-        commits_per_sec=len(commits) / (elapsed_ms / 1000.0),
-        deg_conc=sum(e.service_time_ms for e in commits) / elapsed_ms,
-        abort_rate=len(aborts) / len(events),
-        abort_rate_by_reason=by_reason,
+        mean_cr_eff=commits / total,
+        tas=total,
+        commits_per_sec=commits / (elapsed_ms / 1000.0),
+        deg_conc=service_sum / elapsed_ms,
+        abort_rate=(total - commits) / total,
+        abort_rate_by_reason={r.value: aborts_by.get(r, 0) / total for r in AbortReason},
     )
 
 
 # -- CSV emission -----------------------------------------------------------
-
-
-def _format_items(items: tuple[tuple[str, CCClass], ...]) -> str:
-    # _value_ is the member's value, read without the .value property
-    return ";".join([f"{item}@{cls._value_}" for item, cls in items])
 
 
 def _parse_items(cell: str) -> tuple[tuple[str, CCClass], ...]:
@@ -210,21 +215,23 @@ def _parse_items(cell: str) -> tuple[tuple[str, CCClass], ...]:
 
 
 def write_terminations_csv(events: Iterable[TerminationRecord], outfile: TextIO) -> None:
-    # TerminationRecord's integer views (time_ms, response_time_ms and
-    # service_time_ms), computed inline: no property call per row.
+    # One loop unpacks each record and streams its row, with the integer
+    # views (time_ms, response_time_ms and service_time_ms) computed inline:
+    # no property call per row, and no list of all rows.  _value_ is an enum
+    # member's value, read without the .value property.
     writer = csv.writer(outfile)
     writer.writerow(TERMINATION_COLUMNS)
     writer.writerows(
         (
-            ev.txn_id,
-            int(ev.termination_ms),
-            ev.outcome,
-            ev.abort_reason._value_ if ev.abort_reason else "",
-            response := int(ev.termination_ms - ev.arrival_ms),
-            min(int(ev.service_ms), response),
-            _format_items(ev.items),
+            txn_id,
+            int(termination),
+            outcome,
+            reason._value_ if reason else "",
+            response := int(termination - arrival),
+            min(int(service), response),
+            ";".join([f"{item}@{cls._value_}" for item, cls in items]),
         )
-        for ev in events
+        for txn_id, outcome, reason, arrival, _, _, termination, items, _, service in events
     )
 
 

@@ -39,9 +39,13 @@ def reconcile_commit(store: Store, item_id: str, delta: float) -> float:
     The read version the transaction saw plays no role: whoever arrives at
     the apply step is ordered by arrival, and every interleaving that
     commits the same deltas produces the same final value.  A zero delta is
-    an ordinary commit and still bumps the version.
+    an ordinary commit and still bumps the version.  The install checks the
+    item's constraint itself: a violating delta raises
+    ConstraintViolationError and leaves the item unchanged, so a caller
+    that ran ``reconcile_check`` in the same critical section need not
+    repeat it here.
     """
-    candidate = reconcile_check(store, item_id, delta)
+    candidate = store.item(item_id).committed_value + delta
     store.install_version(item_id, candidate)
     return candidate
 

@@ -618,3 +618,29 @@ def test_records_are_immutable_and_hashable(record):
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(record, field))
     assert hash(record) == hash(type(record)(*record))
+
+
+def test_each_reconciled_write_is_constraint_checked_once(monkeypatch):
+    # The commit pipeline checks an R delta in _validate; the install that
+    # follows in the same call must not run reconcile_check again.  Both
+    # module globals are counted: the engine's and the one reconcile_commit
+    # would read.
+    from adaptivecc import engine as engine_module
+    from adaptivecc import semantic
+    from adaptivecc.harness import TEMPLATE_TPCC_DECK, EpochProfile, run_experiment
+    from adaptivecc.sg import WRITE
+
+    original = semantic.reconcile_check
+    calls = []
+
+    def counting(store, item_id, delta):
+        calls.append(item_id)
+        return original(store, item_id, delta)
+
+    monkeypatch.setattr(engine_module, "reconcile_check", counting)
+    monkeypatch.setattr(semantic, "reconcile_check", counting)
+    profile = EpochProfile(lambdas=(150.0,) * 5, template=TEMPLATE_TPCC_DECK, seed=7)
+    result = run_experiment(profile)
+    r_writes = [ev.item for ev in result.schedule if ev.op == WRITE and ev.detail.endswith("@R")]
+    assert len(r_writes) > 500
+    assert sorted(calls) == sorted(r_writes)

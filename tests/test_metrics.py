@@ -1,11 +1,15 @@
 import io
 import random
+from statistics import fmean, pstdev
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adaptivecc.engine import AbortReason, TerminationRecord
 from adaptivecc.harness import TEMPLATE_TPCC_DECK, EpochProfile, run_experiment
 from adaptivecc.metrics import (
+    Summary,
     aggregate,
     read_terminations_csv,
     summarize,
@@ -222,3 +226,75 @@ def test_aggregate_and_summary_ignore_record_order():
     assert shuffled != result.events
     assert aggregate(shuffled, 100.0) == aggregate(result.events, 100.0)
     assert summarize(shuffled, result.elapsed_ms) == result.summary
+
+
+def oracle_summarize(events, elapsed_ms, tw_ms=100.0, series=None):
+    """The multi-pass ``summarize``: one list per outcome and the record
+    properties, kept as the oracle of the one-pass version."""
+    events = list(events)
+    if not events:
+        raise ValueError("no termination events to summarize")
+    if elapsed_ms <= 0:
+        raise ValueError("elapsed_ms must be positive")
+    commits = [e for e in events if e.outcome == "commit"]
+    aborts = [e for e in events if e.outcome != "commit"]
+    if series is None:
+        series = aggregate(events, tw_ms)
+    cr_values = [row.cr for row in series]
+    by_reason = {
+        reason.value: sum(1 for e in aborts if e.abort_reason is reason) / len(events)
+        for reason in AbortReason
+    }
+    return Summary(
+        mean_rt_ms=fmean(e.response_time_ms for e in events),
+        mean_cr=fmean(cr_values),
+        std_cr=pstdev(cr_values),
+        mean_cr_eff=len(commits) / len(events),
+        tas=len(events),
+        commits_per_sec=len(commits) / (elapsed_ms / 1000.0),
+        deg_conc=sum(e.service_time_ms for e in commits) / elapsed_ms,
+        abort_rate=len(aborts) / len(events),
+        abort_rate_by_reason=by_reason,
+    )
+
+
+def _bits(summary):
+    # every field, floats as their exact hex form
+    fields = {k: getattr(summary, k) for k in Summary.__dataclass_fields__}
+    fields.update(fields.pop("abort_rate_by_reason"))
+    return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}
+
+
+_stamp = st.floats(min_value=0.0, max_value=50_000.0)
+_row = st.one_of(
+    st.tuples(st.just("commit"), st.none(), _stamp, _stamp, _stamp),
+    st.tuples(st.just("abort"), st.none() | st.sampled_from(AbortReason), _stamp, _stamp, _stamp),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(_row, min_size=1, max_size=40),
+    tw_ms=st.sampled_from([50.0, 100.0, 333.3, 1000.0]),
+    elapsed_ms=st.floats(min_value=0.001, max_value=200_000.0),
+    with_series=st.booleans(),
+    as_iterator=st.booleans(),
+)
+@example(rows=[("commit", None, 10.0, 7.5, 3.0)], tw_ms=100.0, elapsed_ms=20.0,
+         with_series=True, as_iterator=True)
+@example(rows=[("abort", None, 0.5, 90.0, 8.0)], tw_ms=100.0, elapsed_ms=95.0,
+         with_series=False, as_iterator=False)
+@example(rows=[("abort", None, 0.0, 1.0, 0.0), ("abort", AbortReason.DEADLOCK, 2.0, 3.0, 9.0)],
+         tw_ms=50.0, elapsed_ms=5.0, with_series=False, as_iterator=True)
+def test_summarize_matches_the_multi_pass_oracle(
+    rows, tw_ms, elapsed_ms, with_series, as_iterator
+):
+    # rows: (outcome, abort reason, arrival, response span, busy time)
+    events = [
+        TerminationRecord(i, outcome, reason, arrival, None, None, arrival + span, (), (), busy)
+        for i, (outcome, reason, arrival, span, busy) in enumerate(rows, start=1)
+    ]
+    series = aggregate(events, tw_ms) if with_series else None
+    expected = oracle_summarize(events, elapsed_ms, tw_ms, series)
+    got = summarize(iter(events) if as_iterator else events, elapsed_ms, tw_ms, series)
+    assert _bits(got) == _bits(expected)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -100,3 +101,33 @@ def test_sg_check_calls_the_names_the_benchmark_wraps():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert {"build_serialization_graph", "find_cycle"} <= called
+
+
+def _load_by_path(name, path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_span_wrappers_resolve_and_restore(monkeypatch):
+    # bench/spans.py wraps adaptivecc names (class attributes and module
+    # globals) by name.  Every name it wraps must still exist on its owner,
+    # and restore() must put every original back.
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # workloads.py prepends src
+    _load_by_path("workloads", bench / "workloads.py", monkeypatch)
+    spans = _load_by_path("spans", bench / "spans.py", monkeypatch)
+    rec = spans.SpanRecorder()
+    try:
+        spans.instrument(rec)
+        patched = list(rec._patches)
+        assert len(patched) == len(rec.names) > 0
+        for owner, attr, saved in patched:
+            assert saved is not spans._MISSING, f"{owner!r} has no {attr} of its own"
+            assert getattr(owner, attr).__wrapped__ is saved
+    finally:
+        rec.restore()
+    for owner, attr, saved in patched:
+        assert vars(owner)[attr] is saved, f"{owner!r}.{attr} was not restored"
