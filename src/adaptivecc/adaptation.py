@@ -56,6 +56,10 @@ class AdaptationConfig:
             raise ValueError("gamma must be in (0, 1]")
         if not 0 <= self.delta < self.gamma:
             raise ValueError("delta must be in [0, gamma)")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ValueError("beta must be a finite number > 0")
+        if self.switch_back_queue_max is not None and self.switch_back_queue_max < 0:
+            raise ValueError("switch_back_queue_max must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -429,7 +429,7 @@ class Engine:
         txn._pending_cb = None
         held = self.locks.held_by(txn.txn_id)
         snapshots = tuple((i, self.locks.queue_len(i)) for i in held)
-        _, grants = self.locks.release_all(txn.txn_id, held)
+        grants = self.locks.release_all(txn.txn_id, held)
         self.escrow.release_all(txn.txn_id)
         self._active.pop(txn.txn_id, None)
         # every field, in TerminationRecord's order

@@ -18,11 +18,10 @@ script over its own store.
 Each transaction is a session: a generator that the scheduler steps
 straight off its heap, and that yields its think and service delays or
 parks until its lock is granted.  The plan, stably sorted by arrival time,
-is merged into the run as the scheduler's arrival stream, so the heap
-holds only in-flight events.  An arrival runs before any queued event due
-at the same time, and arrivals due together run in plan order; that is the
-order the run had when every arrival was queued up front, ahead of all
-other events.
+is handed to the scheduler's run as its arrivals, so the heap holds only
+in-flight events.  An arrival runs before any queued event due at the same
+time, and arrivals due together run in plan order; that is the order the
+run had when every arrival was queued up front, ahead of all other events.
 
 Transaction templates are class-agnostic: an access declares the item and
 an optional update delta, and the item's current class picks the
@@ -32,15 +31,16 @@ write under lock or validation on P/O).
 A replay runs with the cyclic garbage collector paused and restores the
 caller's collector state when it ends.  This is safe because a replay
 makes no cyclic garbage: records are tuples, and the engine's clock
-closes over the scheduler, not the runner.  A session's resume continuation
-refers to the session's own generator, which holds the continuation in its
-frame; that cycle lasts only while the session runs, because a finished
-generator drops its frame.  The scheduler lets go of the runner's arrival
-callback once the plan is used up.  Reference counting frees everything a
-replay drops, so a collector pass would only walk the run's live objects.  Engine and
-controller refer to each other only until the run ends, so a dropped runner
-is freed by reference counting too.  ``tests/test_harness.py`` pins this by
-finding no unreachable objects after replays run without the collector.
+closes over the scheduler, not the runner.  A session's resume
+continuation refers to the session's own generator, which holds the
+continuation in its frame; that cycle lasts only while the session runs,
+because a finished generator drops its frame.  The scheduler keeps no
+reference to the plan or to ``start`` once its run returns.  Reference
+counting frees everything a replay drops, so a collector pass would only
+walk the run's live objects.  Engine and controller refer to each other
+only until the run ends, so a dropped runner is freed by reference
+counting too.  ``tests/test_harness.py`` pins this by finding no
+unreachable objects after replays run without the collector.
 """
 
 from __future__ import annotations
@@ -444,9 +444,8 @@ class ExperimentRunner:
         self._planned = len(plan)
         # E is a static class: no item moves into or out of it.
         self._escrow_items = {i.id for i in self.store.items() if i.static_class is CCClass.E}
-        self.scheduler.merge_arrivals(sorted(plan, key=itemgetter(0)), self._start)
         self.scheduler.call_later(self.tw_ms, self._boundary)
-        self.scheduler.run()
+        self.scheduler.run(sorted(plan, key=itemgetter(0)), self._start)
         if len(self.events) < len(plan):
             raise RuntimeError("experiment ended with unterminated transactions")
         if not self.events:

@@ -8,7 +8,8 @@ requester.  The manager is single-threaded, like the engine that owns it,
 and takes no locks of its own.
 
 A transaction waits on at most one item: a queued transaction is
-suspended until it is granted, withdrawn or drained.  Each waiter's
+suspended until it is granted, withdrawn or drained, and any request from
+a transaction that waits raises LockError.  Each waiter's
 waits-for edges therefore stay inside its item's holder and queue, and
 the only edge that leaves that set is the holder's own wait.  A new wait
 ``T -> i`` closes a cycle iff ``T`` lies on the holder chain ``holder(i)
@@ -43,17 +44,10 @@ class LockError(Exception):
 
 
 class Grant(NamedTuple):
-    """Emitted by release when a queued waiter becomes the holder.
-
-    ``queue_len_at_release`` counts the transactions still waiting when the
-    previous holder let go (including the one being granted).  The engine
-    does not read it: the controller's wait-queue snapshot is taken from
-    ``queue_len`` before the terminating holder releases its locks.
-    """
+    """Emitted by release when a queued waiter becomes the holder."""
 
     item_id: str
     txn_id: int
-    queue_len_at_release: int
 
 
 class LockManager:
@@ -97,7 +91,6 @@ class LockManager:
     def _would_deadlock(self, txn_id: int, item_id: str) -> bool:
         # Walk holder -> the item it waits on -> that item's holder ...
         # The chain is finite because the waits-for graph stays acyclic.
-        own_wait = self._waiting.get(txn_id)
         node = self._holders.get(item_id)
         while node is not None:
             if node == txn_id:
@@ -105,19 +98,7 @@ class LockManager:
             waits_on = self._waiting.get(node)
             if waits_on is None:
                 return False
-            # A requester already queued (off-engine use only) is also
-            # reachable from everyone queued behind it on its own item.
-            if waits_on == own_wait and self._queued_ahead(txn_id, node, waits_on):
-                return True
             node = self._holders.get(waits_on)
-        return False
-
-    def _queued_ahead(self, first: int, second: int, item_id: str) -> bool:
-        for waiter in self._queues[item_id]:
-            if waiter == first:
-                return True
-            if waiter == second:
-                return False
         return False
 
     # -- mutations -------------------------------------------------------
@@ -125,9 +106,11 @@ class LockManager:
     def acquire(self, txn_id: int, item_id: str) -> AcquireStatus:
         """Grant the lock, queue the request, or refuse a cycle-closing wait.
 
-        A transaction waits on at most one item; queueing a transaction
-        that already waits elsewhere raises LockError (unless that wait
-        would deadlock, which is refused as usual)."""
+        A transaction that waits is suspended: any request from it raises
+        LockError, so it waits on at most one item."""
+        own_wait = self._waiting.get(txn_id)
+        if own_wait is not None:
+            raise LockError(f"txn {txn_id} already waits on {own_wait}")
         holder = self._holders.get(item_id)
         if holder is None:
             self._holders[item_id] = txn_id
@@ -135,16 +118,8 @@ class LockManager:
             return AcquireStatus.GRANTED
         if holder == txn_id:
             return AcquireStatus.GRANTED  # re-entrant
-        own_wait = self._waiting.get(txn_id)
-        if own_wait == item_id:
-            raise LockError(f"txn {txn_id} already queued on {item_id}")
         if self._would_deadlock(txn_id, item_id):
             return AcquireStatus.DEADLOCK_REFUSED
-        if own_wait is not None:
-            raise LockError(
-                f"txn {txn_id} already waits on {own_wait}; "
-                "a transaction waits on at most one item"
-            )
         self._queues.setdefault(item_id, deque()).append(txn_id)
         self._waiting[txn_id] = item_id
         return AcquireStatus.QUEUED
@@ -158,18 +133,16 @@ class LockManager:
         if not held:
             del self._held[txn_id]
         queue = self._queues.get(item_id)
-        if not queue:
+        if not queue:  # an empty queue is never kept
             del self._holders[item_id]
-            self._queues.pop(item_id, None)
             return None
-        queue_len = len(queue)
         next_holder = queue.popleft()
         if not queue:
             self._queues.pop(item_id, None)
         del self._waiting[next_holder]
         self._holders[item_id] = next_holder
         self._held.setdefault(next_holder, set()).add(item_id)
-        return _new(Grant, (item_id, next_holder, queue_len))
+        return _new(Grant, (item_id, next_holder))
 
     def withdraw(self, txn_id: int, item_id: str) -> bool:
         """Remove a queued (not granted) request; its WFG edges vanish."""
@@ -184,9 +157,9 @@ class LockManager:
 
     def release_all(
         self, txn_id: int, held: Optional[tuple[str, ...]] = None
-    ) -> tuple[int, list[Grant]]:
+    ) -> list[Grant]:
         """Termination path: drop every hold (canonical order) and the queued
-        request of the transaction. Returns (locks released, grants made).
+        request of the transaction. Returns the grants made.
 
         ``held`` is ``held_by(txn_id)`` when the caller has already read it.
         """
@@ -200,7 +173,7 @@ class LockManager:
         waits_on = self._waiting.get(txn_id)
         if waits_on is not None:
             self.withdraw(txn_id, waits_on)
-        return len(held), grants
+        return grants
 
     def drain_queue(self, item_id: str) -> list[int]:
         """Empty an item's wait queue without granting (used when the item
@@ -211,12 +184,3 @@ class LockManager:
         for waiter in queue:
             del self._waiting[waiter]
         return list(queue)
-
-    def dump_lines(self) -> list[str]:
-        """Diagnostic dump, one ``item,holder,queue...`` line per locked item."""
-        lines = []
-        for item_id in sorted(set(self._holders) | set(self._queues)):
-            parts = [item_id, str(self._holders.get(item_id, ""))]
-            parts.extend(str(t) for t in self._queues.get(item_id, ()))
-            lines.append(",".join(parts))
-        return lines

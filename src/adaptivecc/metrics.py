@@ -96,17 +96,21 @@ def aggregate(
     boundaries; ``arrivals`` the spawn timestamps for the cumulative
     arrival counter.  Empty buckets keep counters at zero and carry the
     previous commit rate forward.  The order of ``events`` does not matter.
+    A record stamped before time 0 raises ValueError.
     """
     events = list(events)
     if not events:
         return []
     # int(termination_ms) is the record's integer stamp (its time_ms view)
-    n_buckets = int(max([int(e.termination_ms) for e in events]) // tw_ms) + 1
+    stamps = [int(e.termination_ms) for e in events]
+    if min(stamps) < 0:
+        raise ValueError(f"termination stamped at {min(stamps)} ms, before time 0")
+    n_buckets = int(max(stamps) // tw_ms) + 1
     committed = [0] * n_buckets
     aborted = [0] * n_buckets
     reclass = [0] * n_buckets
-    for ev in events:
-        bucket = int(int(ev.termination_ms) // tw_ms)
+    for ev, stamp in zip(events, stamps):
+        bucket = int(stamp // tw_ms)
         if ev.outcome == "commit":
             committed[bucket] += 1
         else:
@@ -240,7 +244,9 @@ def read_terminations_csv(infile: TextIO) -> list[TerminationRecord]:
 
     Each record gets the row's integer stamps (arrival = time - response),
     so its integer views reproduce the row; the read-phase stamps and queue
-    snapshots, which the log does not keep, are absent.
+    snapshots, which the log does not keep, are absent.  A row stamped
+    before time 0, or whose outcome is neither ``commit`` nor ``abort``,
+    raises ValueError.
     """
     reader = csv.reader(infile)
     header = next(reader, None)
@@ -251,6 +257,8 @@ def read_terminations_csv(infile: TextIO) -> list[TerminationRecord]:
         if not row:
             continue
         time_ms, response, service = int(row[1]), int(row[4]), int(row[5])
+        if time_ms < 0 or row[2] not in ("commit", "abort"):
+            raise ValueError(f"need time_ms >= 0 and a commit or abort outcome: {row}")
         if not 0 <= service <= response:
             raise ValueError("need response_time >= service_time >= 0")
         records.append(

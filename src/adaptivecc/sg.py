@@ -92,10 +92,7 @@ class SerializationGraph:
         return adj
 
 
-def build_serialization_graph(
-    events: Iterable[Sequence],
-    classes: Optional[dict[str, CCClass]] = None,
-) -> SerializationGraph:
+def build_serialization_graph(events: Iterable[Sequence]) -> SerializationGraph:
     """Build the serialization graph of a complete history.
 
     ``events`` is any iterable, consumed once, of ``(time_ms, txn_id, op,
@@ -114,15 +111,15 @@ def build_serialization_graph(
     proportional to the transactions plus the O/P reads and writes, not to
     the trace rows.
 
-    Item classes come from the event details; ``classes`` supplies them for
-    traces that omit the annotation.  Errors, checked in this order: a row
-    that does not parse raises as above, where it stands; then an unknown op
-    raises MalformedHistoryError, then so does any transaction without a
-    terminal commit/abort event; then the first committed read or write in
-    trace order whose class is unknown raises ValueError (a bad letter) or
-    MalformedHistoryError (no annotation and no ``classes`` entry).
-    Operations of aborted transactions are never classified, so a bad class
-    there is not an error.
+    Item classes come from the ``@<class>`` annotation of each read and
+    write detail.  Errors, checked in this order: a row that does not parse
+    raises as above, where it stands; then an unknown op raises
+    MalformedHistoryError, then so does any transaction without a terminal
+    commit/abort event; then the first committed read or write in trace
+    order whose class is unknown raises ValueError (a bad letter) or
+    MalformedHistoryError (no annotation).  Operations of aborted
+    transactions are never classified, so a bad or missing class there is
+    not an error.
     """
     terminal: dict[int, Optional[str]] = {}  # txn -> last commit/abort op, None while open
     per_item: dict[str, list[tuple[int, str]]] = {}
@@ -134,23 +131,17 @@ def build_serialization_graph(
     for row in events:
         try:
             time, txn, op, item, detail = row
-        except ValueError:  # a CSV row of other than five cells: as in iter_trace_csv
+        except ValueError:  # a CSV row of other than five cells: as in read_trace_csv
             time, txn, op, item, detail = int(row[0]), int(row[1]), row[2], row[3], row[4]
         int(time)
         txn = int(txn)
         if op == READ or op == WRITE:
             terminal.setdefault(txn, None)
             _, at, letter = detail.rpartition("@")
-            if at:
-                cls = _CLASS_BY_LETTER.get(letter)
-                if cls is None:
-                    unclassified.setdefault(txn, (item, letter))
-                    continue
-            else:
-                cls = classes.get(item) if classes is not None else None
-                if cls is None:
-                    unclassified.setdefault(txn, (item, None))
-                    continue
+            cls = _CLASS_BY_LETTER.get(letter) if at else None
+            if cls is None:
+                unclassified.setdefault(txn, (item, letter if at else None))
+                continue
             if cls not in _RECONCILED:
                 per_item.setdefault(item, []).append((txn, op))
         elif op == COMMIT or op == ABORT:
@@ -171,9 +162,7 @@ def build_serialization_graph(
             continue
         if letter is not None:
             CCClass(letter)  # raises ValueError, as for any unknown class letter
-        raise MalformedHistoryError(
-            f"no class known for item {item!r}; annotate the trace or pass classes"
-        )
+        raise MalformedHistoryError(f"no class known for item {item!r}; annotate the trace")
 
     graph = SerializationGraph(nodes=committed)
     add = graph.edges.add
@@ -285,16 +274,8 @@ def trace_rows(infile: TextIO) -> Iterator[list[str]]:
     return filter(None, reader)
 
 
-def iter_trace_csv(infile: TextIO) -> Iterator[ScheduleEvent]:
-    """Yield the events of a trace CSV one row at a time.
-
-    The rows come from ``trace_rows``; its header check runs when the first
-    event is requested.
-    """
-    make = ScheduleEvent._make
-    for row in trace_rows(infile):
-        yield make((int(row[0]), int(row[1]), row[2], row[3], row[4]))
-
-
 def read_trace_csv(infile: TextIO) -> list[ScheduleEvent]:
-    return list(iter_trace_csv(infile))
+    """The events of a trace CSV, parsed from ``trace_rows``: integer
+    ``time_ms`` and ``txn_id``, cells past the fifth ignored."""
+    make = ScheduleEvent._make
+    return [make((int(r[0]), int(r[1]), r[2], r[3], r[4])) for r in trace_rows(infile)]

@@ -7,10 +7,11 @@ step, or None to park until a continuation calls ``resume``; the run loop
 ``send``s the entry's value into it and pushes its next step itself, and a
 finished session simply drops out.
 
-Arrivals come from a stream of rows sorted by time (``merge_arrivals``),
-not from the heap, so the heap holds only in-flight events.  An arrival
-runs before any queued event due at the same time, and arrivals due at the
-same time run in stream order.
+Arrivals come from the time-sorted rows passed to ``run``, not from the
+heap, so the heap holds only in-flight events.  An arrival runs before any
+queued event due at the same time, and arrivals due at the same time run in
+row order.  A run always goes on until the arrivals and the heap are both
+used up.
 
 Events run in (time, insertion order) order, so identical inputs replay
 identically.  In paced mode the loop sleeps until each event's due time on
@@ -22,9 +23,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
-from typing import Any, Callable, Generator, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 # A session yields a delay in ms, or None to park; resume() sends it a value.
 Session = Generator[Optional[float], Any, None]
@@ -38,9 +38,6 @@ class Scheduler:
         self.paced = paced
         self._queue: list[tuple[float, int, Any, Any]] = []
         self._seq = itertools.count()
-        self._arrivals: Iterator[Sequence] = iter(())
-        self._start: Optional[Callable[[Sequence], Session]] = None
-        self._next_arrival: Optional[Sequence] = None
 
     def call_at(self, when_ms: float, fn: Callable[[], None]) -> None:
         if when_ms < self.now_ms:
@@ -55,66 +52,45 @@ class Scheduler:
         current time, never synchronously."""
         heapq.heappush(self._queue, (self.now_ms, next(self._seq), session, value))
 
-    def merge_arrivals(
-        self, rows: Iterable[Sequence], start: Callable[[Sequence], Session]
+    def run(
+        self,
+        arrivals: Iterable[Sequence] = (),
+        start: Optional[Callable[[Sequence], Session]] = None,
     ) -> None:
-        """Call ``start(row)`` at time ``row[0]`` for every row, and step the
-        session it returns at once.
-
-        ``rows`` is consumed lazily and must be sorted by time; a scheduler
-        takes one stream, which must be used up before the next is merged.
-        """
-        if self._next_arrival is not None:
-            raise RuntimeError("the previous arrival stream is not used up")
-        self._arrivals = iter(rows)
-        self._start = start
-        self._next_arrival = next(self._arrivals, None)
-
-    def run(self, until_ms: Optional[float] = None) -> None:
-        """Drain the arrivals and the queue (optionally only up to ``until_ms``)."""
+        """Run until the arrivals and the queue are used up: ``start(row)``
+        is called at time ``row[0]`` for each row of the time-sorted, lazily
+        consumed ``arrivals``, and the session it returns is stepped at once."""
         anchor = time.monotonic() - self.now_ms / 1000.0 if self.paced else 0.0
-        limit = math.inf if until_ms is None else until_ms
         queue, seq, push, pop = self._queue, self._seq, heapq.heappush, heapq.heappop
         paced = self.paced
-        arrivals, start, arrival = self._arrivals, self._start, self._next_arrival
-        try:
-            while True:
-                if arrival is not None and (not queue or arrival[0] <= queue[0][0]):
-                    when = arrival[0]
-                    if when > limit:
-                        break
-                    if when < self.now_ms:
-                        when = self.now_ms
-                    row, arrival = arrival, next(arrivals, None)
-                    if arrival is not None and arrival[0] < row[0]:
-                        raise ValueError(f"arrival at {arrival[0]} follows one at {row[0]}")
-                    target, value = None, None
-                elif queue:
-                    when, _, target, value = queue[0]
-                    if when > limit:
-                        break
-                    pop(queue)
-                else:
-                    break
-                if paced:
-                    lag = anchor + when / 1000.0 - time.monotonic()
-                    if lag > 0:
-                        time.sleep(lag)
-                self.now_ms = when
-                if target is None:
-                    target = start(row)
-                elif value is _CALL:
-                    target()
-                    continue
-                try:
-                    delay = target.send(value)
-                except StopIteration:
-                    continue
-                if delay is not None:
-                    push(queue, (when + delay if delay > 0 else when, next(seq), target, None))
-        finally:
-            self._next_arrival = arrival
-            if arrival is None:  # let go of a used-up stream and its start function
-                self._arrivals, self._start = iter(()), None
-        if until_ms is not None and self.now_ms < until_ms:
-            self.now_ms = until_ms
+        arrivals = iter(arrivals)
+        arrival = next(arrivals, None)
+        while True:
+            if arrival is not None and (not queue or arrival[0] <= queue[0][0]):
+                when = arrival[0]
+                if when < self.now_ms:
+                    when = self.now_ms
+                row, arrival = arrival, next(arrivals, None)
+                if arrival is not None and arrival[0] < row[0]:
+                    raise ValueError(f"arrival at {arrival[0]} follows one at {row[0]}")
+                target, value = None, None
+            elif queue:
+                when, _, target, value = pop(queue)
+            else:
+                break
+            if paced:
+                lag = anchor + when / 1000.0 - time.monotonic()
+                if lag > 0:
+                    time.sleep(lag)
+            self.now_ms = when
+            if target is None:
+                target = start(row)
+            elif value is _CALL:
+                target()
+                continue
+            try:
+                delay = target.send(value)
+            except StopIteration:
+                continue
+            if delay is not None:
+                push(queue, (when + delay if delay > 0 else when, next(seq), target, None))

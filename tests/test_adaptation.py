@@ -96,6 +96,13 @@ def test_config_validation():
         AdaptationConfig(gamma=0.0, delta=0.0)
     with pytest.raises(ValueError):
         AdaptationConfig(gamma=0.8, delta=0.8)
+    # settings that would silently switch adaptation off
+    for beta in (math.nan, math.inf, 0.0, -5.0):
+        with pytest.raises(ValueError, match="beta"):
+            AdaptationConfig(gamma=0.9, delta=0.05, beta=beta)
+    with pytest.raises(ValueError, match="switch_back_queue_max"):
+        AdaptationConfig(gamma=0.9, delta=0.05, switch_back_queue_max=-1)
+    assert AdaptationConfig(gamma=0.9, delta=0.05, beta=0.5, switch_back_queue_max=0).beta == 0.5
 
 
 # -- termination accounting -------------------------------------------------------

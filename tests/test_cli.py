@@ -90,8 +90,15 @@ def test_run_command_refuses_a_zero_window(tmp_path):
 
 @pytest.mark.parametrize(
     "setting",
-    ["tw_ms = 0", "template = fig7", "op_cost_ms = -1"],
-    ids=["tw_ms", "template", "op_cost_ms"],
+    [
+        "tw_ms = 0",
+        "template = fig7",
+        "op_cost_ms = -1",
+        "beta = nan",
+        "beta = 0",
+        "switch_back_queue_max = -1",
+    ],
+    ids=["tw_ms", "template", "op_cost_ms", "beta_nan", "beta_0", "switch_back_queue_max"],
 )
 def test_run_command_exits_2_on_a_bad_config(tmp_path, capsys, setting):
     # fig7 is a harness workload, but a run config may not name it.

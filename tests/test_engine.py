@@ -15,7 +15,7 @@ from adaptivecc.engine import (
     TerminationRecord,
     WriteIntent,
 )
-from adaptivecc.locks import AcquireStatus, Grant
+from adaptivecc.locks import AcquireStatus, Grant, LockManager
 from adaptivecc.sg import build_serialization_graph, find_cycle
 from adaptivecc.store import CCClass, Constraint, Store
 
@@ -396,6 +396,34 @@ def test_serialization_stays_acyclic_under_reclassification():
         assert find_cycle(graph) is None, f"cycle with reclassification, seed {seed}"
 
 
+def test_the_engine_never_asks_for_a_lock_while_a_txn_waits(monkeypatch):
+    # The lock manager raises on any request from a txn that already waits;
+    # the engine's admission check (no read while waiting_on is set) must
+    # keep it from ever making one, reclassification flushes included.
+    from microworkload import run_micro_workload
+
+    txns, statuses = {}, []
+    begin, acquire = Engine.begin, LockManager.acquire
+
+    def recording_begin(self, read_only=False):
+        txn = begin(self, read_only)
+        txns[txn.txn_id] = txn
+        return txn
+
+    def checked_acquire(self, txn_id, item_id):
+        assert txns[txn_id].waiting_on is None, f"txn {txn_id} waits, then asks for {item_id}"
+        status = acquire(self, txn_id, item_id)
+        statuses.append(status)
+        return status
+
+    monkeypatch.setattr(Engine, "begin", recording_begin)
+    monkeypatch.setattr(LockManager, "acquire", checked_acquire)
+    for seed in range(300):
+        txns.clear()
+        run_micro_workload(seed, allow_reclass=True)
+    assert AcquireStatus.QUEUED in statuses and AcquireStatus.DEADLOCK_REFUSED in statuses
+
+
 def test_read_unknown_item():
     from adaptivecc.store import UnknownItemError
 
@@ -608,7 +636,7 @@ def test_raising_continuation_does_not_stop_the_flush():
         ReadRecord(1, 2, CCClass.O),
         WriteIntent.absolute(1),
         WriteIntent.delta(-1),
-        Grant("x", 1, 2),
+        Grant("x", 1),
         TerminationRecord(1, "commit", None, 0.0, 1.0, 2.0, 3.0, (("x", CCClass.P),), (("x", 1),)),
     ],
     ids=lambda r: type(r).__name__,

@@ -72,15 +72,20 @@ def test_three_txn_cycle_refused():
     assert lm.acquire(3, "a") is AcquireStatus.DEADLOCK_REFUSED
 
 
-def test_queued_predecessor_cycle_refused():
-    # t2 is queued behind the holder t1 on x; t3 holds y.  If t3 queues on
-    # x it implicitly waits for t2, so t2 asking for y closes a cycle.
+def test_a_waiting_txn_asking_for_a_second_lock_raises():
+    # t2 is queued behind the holder t1 on x; t3 holds y and queues on x,
+    # so it implicitly waits for t2.  t2 asking for y would close a cycle,
+    # but a waiting txn is suspended: any request from it is an error, raised
+    # before the deadlock check, and even for a free item.
     lm = LockManager()
     lm.acquire(1, "x")
     assert lm.acquire(2, "x") is AcquireStatus.QUEUED
     lm.acquire(3, "y")
     assert lm.acquire(3, "x") is AcquireStatus.QUEUED
-    assert lm.acquire(2, "y") is AcquireStatus.DEADLOCK_REFUSED
+    for item in ("y", "x", "free"):
+        with pytest.raises(LockError, match="already waits on x"):
+            lm.acquire(2, item)
+    assert lm.queue("x") == (2, 3) and lm.queue("y") == () and lm.holder("free") is None
 
 
 def test_release_grants_queue_head():
@@ -89,8 +94,7 @@ def test_release_grants_queue_head():
     lm.acquire(2, "x")
     lm.acquire(3, "x")
     grant = lm.release(1, "x")
-    assert grant.txn_id == 2
-    assert grant.queue_len_at_release == 2
+    assert grant == Grant("x", 2)
     assert lm.holder("x") == 2
     assert lm.queue("x") == (3,)
 
@@ -113,14 +117,14 @@ def test_release_all_counts_and_withdraws():
     lm = LockManager()
     for item in ("a", "b", "c"):
         lm.acquire(1, item)
-    assert lm.release_all(1) == (3, [])
-    assert lm.release_all(1) == (0, [])
+    assert lm.release_all(1) == []
+    assert lm.held_by(1) == () and lm.holder("a") is None
+    assert lm.release_all(1) == []
 
     lm.acquire(2, "z")
     lm.acquire(3, "z")
-    released, grants = lm.release_all(3)  # queued only, nothing held
-    assert released == 0 and grants == []
-    assert lm.queue("z") == ()
+    assert lm.release_all(3) == []  # queued only, nothing held
+    assert lm.queue("z") == () and lm.holder("z") == 2
 
 
 def test_fifo_fairness():
@@ -157,7 +161,7 @@ def test_wfg_acyclic_after_random_ops():
                 waiting[txn] = item
         else:
             snap_holders = dict((i, lm.holder(i)) for i in (f"i{k}" for k in range(4)))
-            _, grants = lm.release_all(txn)
+            grants = lm.release_all(txn)
             held.pop(txn, None)
             for grant in grants:
                 held.setdefault(grant.txn_id, set()).add(grant.item_id)
@@ -167,15 +171,7 @@ def test_wfg_acyclic_after_random_ops():
     # liveness: terminate everyone, every lock must clear
     for txn in range(8):
         lm.release_all(txn)
-    assert lm.dump_lines() == []
-
-
-def test_dump_lines_format():
-    lm = LockManager()
-    lm.acquire(1, "x")
-    lm.acquire(2, "x")
-    lm.acquire(3, "x")
-    assert lm.dump_lines() == ["x,1,2,3"]
+    assert lm._holders == {} and lm._queues == {}
 
 
 # -- holder-chain walk against the full-graph oracle --------------------------
@@ -205,18 +201,15 @@ WALK_ITEMS = ("a", "b", "c", "d")
 
 
 def oracle_acquire(lm, txn_id, item_id):
-    """Expected acquire verdict, from the raw lock table only.  Where the
-    oracle would queue a txn that already waits elsewhere, the manager
-    refuses to create a second wait with LockError."""
+    """Expected acquire verdict, from the raw lock table only.  A txn that
+    already waits anywhere may not ask for any lock."""
+    if any(txn_id in lm.queue(i) for i in WALK_ITEMS):
+        return LockError
     holder = lm.holder(item_id)
     if holder is None or holder == txn_id:
         return AcquireStatus.GRANTED
-    if txn_id in lm.queue(item_id):
-        return LockError
     if oracle_would_deadlock(lm, txn_id, item_id):
         return AcquireStatus.DEADLOCK_REFUSED
-    if any(txn_id in lm.queue(i) for i in WALK_ITEMS):
-        return LockError
     return AcquireStatus.QUEUED
 
 
@@ -243,7 +236,7 @@ class LockWalkMachine(RuleBasedStateMachine):
             return
         grant = self.lm.release(holder, item)
         if queue:
-            assert grant == Grant(item, queue[0], len(queue))
+            assert grant == Grant(item, queue[0])
         else:
             assert grant is None
 
@@ -254,9 +247,11 @@ class LockWalkMachine(RuleBasedStateMachine):
 
     @rule(txn=st.integers(0, 7))
     def release_all(self, txn):
+        queues = {i: self.lm.queue(i) for i in WALK_ITEMS}
         held = [i for i in WALK_ITEMS if self.lm.holder(i) == txn]
-        released, _ = self.lm.release_all(txn)
-        assert released == len(held)
+        grants = self.lm.release_all(txn)
+        assert grants == [Grant(i, queues[i][0]) for i in held if queues[i]]
+        assert all(self.lm.holder(i) != txn for i in WALK_ITEMS)
         assert all(txn not in self.lm.queue(i) for i in WALK_ITEMS)
 
     @rule(item=st.sampled_from(WALK_ITEMS))
@@ -299,11 +294,10 @@ def test_twenty_thousand_waiters_drain_in_fifo_order():
         assert lm.acquire(txn, "x") is AcquireStatus.QUEUED
     holder, order = 0, []
     while (grant := lm.release(holder, "x")) is not None:
-        assert grant.queue_len_at_release == len(waiters) - len(order)
         holder = grant.txn_id
         order.append(holder)
     assert order == waiters
-    assert lm.dump_lines() == []
+    assert lm._holders == {} and lm._queues == {}
     assert lm._waiting == {}
 
 

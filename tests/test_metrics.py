@@ -43,6 +43,26 @@ def test_log_rejects_service_outside_response():
             read_terminations_csv(io.StringIO(header + f"1,0,commit,,5,{service},\n"))
 
 
+def test_log_rejects_a_negative_stamp_or_an_unknown_outcome():
+    header = "txn_id,time_ms,outcome,abort_reason,response_time_ms,service_time_ms,items\n"
+    rows = "1,-50,commit,,10,5,\n2,250,abort,validation,10,5,\n"
+    with pytest.raises(ValueError, match="-50"):
+        read_terminations_csv(io.StringIO(header + rows))
+    with pytest.raises(ValueError, match="'bogus'"):
+        read_terminations_csv(io.StringIO(header + "1,50,bogus,,10,5,\n"))
+    assert [r.outcome for r in read_terminations_csv(io.StringIO(
+        header + "1,0,commit,,0,0,\n2,250,abort,validation,10,5,\n"
+    ))] == ["commit", "abort"]
+
+
+def test_aggregate_refuses_a_record_stamped_before_time_0():
+    # Negative list indexing once filed the commit at -50 in the last window.
+    with pytest.raises(ValueError, match="-50"):
+        aggregate([term(1, -50), term(2, 250, outcome="abort", reason="validation")], 100.0)
+    rows = aggregate([term(1, -0.5), term(2, 250, outcome="abort", reason="validation")], 100.0)
+    assert (rows[0].commits_cum, rows[-1].aborts_cum) == (1, 1)  # -0.5 is stamped 0
+
+
 def test_record_caps_service_time_at_response():
     record = term(1, 100, response=5, service=6)
     assert record.service_time_ms == record.response_time_ms == 5

@@ -30,10 +30,12 @@ def test_every_public_name_resolves():
 
 
 def test_single_threaded_layers_import_no_threading():
-    # The engine, its lock manager and its escrow ledger are single-threaded
-    # by contract; only the Store keeps a mutex.
+    # One threading story: every layer runs on one thread, driven by the one
+    # discrete-event loop; only the Store keeps a mutex.
     package = Path(adaptivecc.__file__).resolve().parent
-    for module in ("engine", "locks", "semantic"):
+    modules = sorted(path.stem for path in package.glob("*.py") if path.stem != "store")
+    assert {"engine", "locks", "semantic", "simclock", "harness", "cli"} <= set(modules)
+    for module in modules:
         tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):

@@ -15,7 +15,6 @@ from adaptivecc.sg import (
     SerializationGraph,
     build_serialization_graph,
     find_cycle,
-    iter_trace_csv,
     read_trace_csv,
     trace_rows,
     write_trace_csv,
@@ -99,14 +98,14 @@ def test_two_reads_never_conflict():
     assert build_serialization_graph(events).edges == set()
 
 
-def test_classes_argument_for_unannotated_traces():
-    from adaptivecc.store import CCClass
-
-    events = [ev(0, 1, "r", "x", "v1"), ev(1, 2, "w", "x", "v2"), ev(1, 2, "c"), ev(2, 1, "c")]
-    graph = build_serialization_graph(events, classes={"x": CCClass.O})
-    assert {(e.src, e.dst) for e in graph.edges} == {(1, 2)}
-    with pytest.raises(MalformedHistoryError):
-        build_serialization_graph(events)
+def test_unannotated_op_raises_only_for_a_committed_txn():
+    # An item's class comes from the trace alone: a read with no ``@class``
+    # is an error once its txn commits, and is never looked at if it aborts.
+    events = [ev(0, 1, "r", "x", "v1"), ev(1, 2, "w", "x", "v2@O"), ev(1, 2, "c")]
+    with pytest.raises(MalformedHistoryError, match="no class known for item 'x'"):
+        build_serialization_graph(events + [ev(2, 1, "c")])
+    graph = build_serialization_graph(events + [ev(2, 1, "a", "", "validation")])
+    assert graph.nodes == {2} and graph.edges == set()
 
 
 def test_trace_csv_roundtrip():
@@ -120,7 +119,7 @@ def test_trace_csv_roundtrip():
 # -- the all-pairs conflict graph as a differential oracle -------------------
 
 
-def oracle_build_serialization_graph(events, classes=None):
+def oracle_build_serialization_graph(events):
     """The conflict graph with an edge for every pair of conflicting
     operations on an O/P item between committed transactions: O(ops^2)
     edges, but obviously correct."""
@@ -131,7 +130,7 @@ def oracle_build_serialization_graph(events, classes=None):
     for ev in events:
         if ev.op not in (READ, WRITE) or ev.txn_id not in committed:
             continue
-        cls = ev.item_class() or classes[ev.item]
+        cls = ev.item_class()
         if cls in (CCClass.O, CCClass.P):
             per_item.setdefault(ev.item, []).append((ev.txn_id, ev.op))
     for item, ops in per_item.items():
@@ -215,9 +214,9 @@ def reachability(graph):
     return reach
 
 
-def assert_same_verdicts(events, classes=None):
-    fast = build_serialization_graph(events, classes)
-    slow = oracle_build_serialization_graph(events, classes)
+def assert_same_verdicts(events):
+    fast = build_serialization_graph(events)
+    slow = oracle_build_serialization_graph(events)
     assert fast.nodes == slow.nodes
     assert fast.edges <= slow.edges
     assert reachability(fast) == reachability(slow)
@@ -235,13 +234,12 @@ def assert_same_verdicts(events, classes=None):
 def histories(draw):
     """Complete histories of up to 8 txns over up to 3 items.  Item ``x``
     flips between O and P from event to event, as around a reclassification;
-    the others keep one drawn class.  Some reads and writes carry no class
-    annotation and take it from the returned ``classes`` map.  Each txn
-    commits or aborts after its last read or write; where the terminal
-    event falls does not change the graph."""
+    the others keep one drawn class.  Every read and write carries its
+    class annotation, as in an engine trace.  Each txn commits or aborts
+    after its last read or write; where the terminal event falls does not
+    change the graph."""
     items = ["x", "y", "z"][: draw(st.integers(1, 3))]
-    classes = {item: draw(st.sampled_from(list(CCClass))) for item in items}
-    classes["x"] = draw(st.sampled_from((CCClass.O, CCClass.P)))
+    fixed = {item: draw(st.sampled_from(list(CCClass))) for item in items[1:]}
     n_txns = draw(st.integers(1, 8))
     steps = draw(st.lists(
         st.tuples(st.integers(1, n_txns), st.sampled_from("rw"), st.sampled_from(items)),
@@ -249,24 +247,23 @@ def histories(draw):
     ))
     events = []
     for time, (txn_id, op, item) in enumerate(steps):
-        cls = classes[item]
         if item == "x":
             cls = draw(st.sampled_from((CCClass.O, CCClass.P)))
-        detail = f"v{time}@{cls.value}" if draw(st.booleans()) else f"v{time}"
-        events.append(ScheduleEvent(time, txn_id, op, item, detail))
+        else:
+            cls = fixed[item]
+        events.append(ScheduleEvent(time, txn_id, op, item, f"v{time}@{cls.value}"))
     for txn_id in draw(st.permutations(range(1, n_txns + 1))):
         if draw(st.integers(0, 3)):
             events.append(ScheduleEvent(len(steps), txn_id, "c"))
         else:
             events.append(ScheduleEvent(len(steps), txn_id, "a", "", "validation"))
-    return events, classes
+    return events
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(histories())
 def test_reduced_graph_keeps_the_conflict_closure(history):
-    events, classes = history
-    assert_same_verdicts(events, classes)
+    assert_same_verdicts(history)
 
 
 @pytest.mark.parametrize("allow_reclass", [False, True])
@@ -325,14 +322,14 @@ def as_csv(events):
     return buffer
 
 
-def assert_csv_path_agrees(events, classes=None):
+def assert_csv_path_agrees(events):
     """sg-check's path, the CSV rows streamed into the builder, gives the
     in-memory build's graph, the oracle search's cycle and the all-pairs
-    oracle's verdict; so do the events ``iter_trace_csv`` parses."""
-    streamed = build_serialization_graph(trace_rows(as_csv(events)), classes)
-    parsed = build_serialization_graph(iter_trace_csv(as_csv(events)), classes)
-    in_memory = build_serialization_graph(events, classes)
-    slow = oracle_build_serialization_graph(events, classes)
+    oracle's verdict; so do the events ``read_trace_csv`` parses."""
+    streamed = build_serialization_graph(trace_rows(as_csv(events)))
+    parsed = build_serialization_graph(read_trace_csv(as_csv(events)))
+    in_memory = build_serialization_graph(events)
+    slow = oracle_build_serialization_graph(events)
     assert streamed.nodes == parsed.nodes == in_memory.nodes == slow.nodes
     assert streamed.edges == parsed.edges == in_memory.edges
     cycle = find_cycle(streamed)
@@ -345,8 +342,7 @@ def assert_csv_path_agrees(events, classes=None):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(histories())
 def test_csv_stream_matches_in_memory_build(history):
-    events, classes = history
-    assert_csv_path_agrees(events, classes)
+    assert_csv_path_agrees(history)
 
 
 @pytest.mark.parametrize("allow_reclass", [False, True])
@@ -363,15 +359,15 @@ def test_schedule_event_is_a_plain_tuple():
     assert event.item_class() is CCClass.O
 
 
-def test_iter_trace_csv_checks_the_header_and_skips_blank_rows():
+def test_read_trace_csv_checks_the_header_and_skips_blank_rows():
     with pytest.raises(ValueError, match="trace header"):
-        list(iter_trace_csv(io.StringIO("time,txn\n0,1\n")))
+        read_trace_csv(io.StringIO("time,txn\n0,1\n"))
     with pytest.raises(ValueError, match="trace header"):
-        list(iter_trace_csv(io.StringIO("")))
+        read_trace_csv(io.StringIO(""))
     with pytest.raises(ValueError, match="trace header"):
         trace_rows(io.StringIO("time,txn\n0,1\n"))
     rows = "time_ms,txn_id,op,item,detail\n0,1,r,x,v1@O\n\n1,1,c,,\n"
-    assert list(iter_trace_csv(io.StringIO(rows))) == [ev(0, 1, "r", "x", "v1@O"), ev(1, 1, "c")]
+    assert read_trace_csv(io.StringIO(rows)) == [ev(0, 1, "r", "x", "v1@O"), ev(1, 1, "c")]
     assert list(trace_rows(io.StringIO(rows))) == [
         ["0", "1", "r", "x", "v1@O"],
         ["1", "1", "c", "", ""],
@@ -379,7 +375,7 @@ def test_iter_trace_csv_checks_the_header_and_skips_blank_rows():
 
 
 # Which error a malformed history raises, if any.  A row that does not parse
-# raises where it stands, as ``iter_trace_csv`` raises on it; then comes the
+# raises where it stands, as ``read_trace_csv`` raises on it; then comes the
 # unknown op, then unterminated txns, then the first committed read or
 # write, in trace order, whose class is unknown; an aborted txn's class is
 # never looked at.
@@ -444,7 +440,7 @@ MALFORMED = {
 @pytest.mark.parametrize("via_csv", [False, True], ids=["events", "csv"])
 def test_malformed_history_outcomes(case, via_csv):
     events, expected = MALFORMED[case]
-    source = iter_trace_csv(as_csv(events)) if via_csv else events
+    source = trace_rows(as_csv(events)) if via_csv else events
     if expected is None:
         build_serialization_graph(source)
         return

@@ -3,8 +3,8 @@
 ``OracleScheduler`` is that loop: every event is a callback on one heap,
 every planned arrival is pushed up front, and a session is stepped by a
 callback that sends into it and schedules its next step.  The scheduler
-under test steps sessions straight off its heap and merges arrivals from a
-time-sorted stream; both must run the same program in the same order.
+under test steps sessions straight off its heap and takes its arrivals as
+time-sorted rows; both must run the same program in the same order.
 """
 
 import heapq
@@ -35,16 +35,11 @@ class OracleScheduler:
     def call_later(self, delay_ms, fn):
         self.call_at(self.now_ms + max(delay_ms, 0.0), fn)
 
-    def run(self, until_ms=None):
+    def run(self):
         while self._queue:
-            when, _, fn = self._queue[0]
-            if until_ms is not None and when > until_ms:
-                break
-            heapq.heappop(self._queue)
+            when, _, fn = heapq.heappop(self._queue)
             self.now_ms = when
             fn()
-        if until_ms is not None and self.now_ms < until_ms:
-            self.now_ms = until_ms
 
 
 PARK = "park"
@@ -80,7 +75,7 @@ class Program:
             schedule_later(action[1], partial(
                 self.callback, clock, schedule_later, wake, label + "+", ("noop",)))
 
-    def run_oracle(self, pause):
+    def run_oracle(self):
         loop = OracleScheduler()
         clock = lambda: loop.now_ms  # noqa: E731
         sessions = {}
@@ -105,13 +100,10 @@ class Program:
         for j, (when, action) in enumerate(self.callbacks):
             callback = partial(self.callback, clock, loop.call_later, wake, f"c{j}", action)
             loop.call_at(when, callback)
-        if pause is not None:
-            loop.run(until_ms=pause)
-            self.log.append((loop.now_ms, "pause"))
         loop.run()
         return self.log
 
-    def run_scheduler(self, pause):
+    def run_scheduler(self):
         loop = Scheduler()
         clock = lambda: loop.now_ms  # noqa: E731
         sessions = {}
@@ -128,11 +120,7 @@ class Program:
             callback = partial(self.callback, clock, loop.call_later, wake, f"c{j}", action)
             loop.call_at(when, callback)
         rows = [(when, index, steps) for index, (when, steps) in enumerate(self.arrivals)]
-        loop.merge_arrivals(sorted(rows, key=itemgetter(0)), start)
-        if pause is not None:
-            loop.run(until_ms=pause)
-            self.log.append((loop.now_ms, "pause"))
-        loop.run()
+        loop.run(sorted(rows, key=itemgetter(0)), start)
         return self.log
 
 
@@ -150,10 +138,10 @@ callbacks = st.lists(st.tuples(times, actions), max_size=8)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(arrivals, callbacks, st.one_of(st.none(), times))
-def test_scheduler_runs_programs_in_the_callback_loops_order(arrivals, callbacks, pause):
-    expected = Program(arrivals, callbacks).run_oracle(pause)
-    assert Program(arrivals, callbacks).run_scheduler(pause) == expected
+@given(arrivals, callbacks)
+def test_scheduler_runs_programs_in_the_callback_loops_order(arrivals, callbacks):
+    expected = Program(arrivals, callbacks).run_oracle()
+    assert Program(arrivals, callbacks).run_scheduler() == expected
 
 
 def noted(seen, label, *delays):
@@ -166,32 +154,18 @@ def test_an_arrival_runs_before_a_queued_event_at_its_time():
     loop = Scheduler()
     seen = []
     loop.call_at(5.0, lambda: seen.append("queued"))
-    loop.merge_arrivals([(5.0, "arrival")], lambda row: noted(seen, row[1]))
-    loop.run()
+    loop.run([(5.0, "arrival")], lambda row: noted(seen, row[1]))
     assert seen == ["arrival", "queued"]
 
 
 def test_a_finished_session_leaves_the_heap():
     loop = Scheduler()
-    loop.merge_arrivals([(2.0,)], lambda row: noted([], "", 1.0, 0.0))
-    loop.run()
+    loop.run([(2.0,)], lambda row: noted([], "", 1.0, 0.0))
     assert loop.now_ms == 3.0 and loop._queue == []
 
 
 def test_arrivals_out_of_time_order_are_refused():
     loop = Scheduler()
-    loop.merge_arrivals([(2.0,), (1.0,)], lambda row: noted([], ""))
     with pytest.raises(ValueError, match="follows"):
-        loop.run()
+        loop.run([(2.0,), (1.0,)], lambda row: noted([], ""))
 
-
-def test_a_stream_must_be_used_up_before_the_next():
-    loop, seen = Scheduler(), []
-    loop.merge_arrivals([(1.0, "a"), (50.0, "b")], lambda row: noted(seen, row[1]))
-    loop.run(until_ms=10.0)
-    with pytest.raises(RuntimeError, match="not used up"):
-        loop.merge_arrivals([(60.0, "c")], lambda row: noted(seen, row[1]))
-    loop.run()
-    loop.merge_arrivals([(60.0, "c")], lambda row: noted(seen, row[1]))
-    loop.run()
-    assert seen == ["a", "b", "c"] and loop.now_ms == 60.0
