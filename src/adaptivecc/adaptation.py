@@ -31,6 +31,10 @@ from typing import Callable, Optional
 from .engine import AbortReason, TerminationRecord
 from .store import CCClass, Store
 
+# bound once: see the engine module docstring
+_ABORT_RECLASSIFICATION = AbortReason.RECLASSIFICATION
+_CLASS_O, _CLASS_P = CCClass.O, CCClass.P
+
 RULE_LOW_CR_TO_LOCKING = "low-cr-to-locking"
 RULE_HIGH_CR_TO_OPTIMISTIC = "high-cr-to-optimistic"
 RULE_BARRIER_EXCEEDED = "barrier-exceeded"
@@ -41,6 +45,9 @@ EWMA_WEIGHT = 0.2  # weight of the newest service-time sample
 class Mode(Enum):
     TIME_WINDOW = "timewindow"
     PER_TERMINATION = "pertermination"
+
+
+_MODE_TIME_WINDOW, _MODE_PER_TERMINATION = Mode.TIME_WINDOW, Mode.PER_TERMINATION
 
 
 @dataclass(frozen=True)
@@ -122,7 +129,7 @@ def estimate_rt(mean_st: float, queue_len: int, current_class: CCClass) -> float
     Only meaningful under locking; optimistic items have no wait queue and
     report 0.
     """
-    if current_class is not CCClass.P:
+    if current_class is not _CLASS_P:
         return 0.0
     return mean_st * (queue_len + 1)
 
@@ -198,14 +205,14 @@ class Controller:
             state.terminated += 1
             if record.outcome == "commit":
                 state.committed += 1
-            elif record.abort_reason is AbortReason.RECLASSIFICATION:
+            elif record.abort_reason is _ABORT_RECLASSIFICATION:
                 state.reclass_aborts += 1
             span = record.read_write_span_ms
-            if span is not None and self.current_class(item_id) is CCClass.P:
+            if span is not None and self.current_class(item_id) is _CLASS_P:
                 self._observe_service_time(state, span)
             if item_id in snapshots:
                 state.last_queue_len = snapshots[item_id]
-            if self.config.mode is Mode.PER_TERMINATION:
+            if self.config.mode is _MODE_PER_TERMINATION:
                 state.cr = compute_cr(
                     state.committed, state.terminated, state.reclass_aborts, state.cr
                 )
@@ -221,7 +228,7 @@ class Controller:
     def close_window(self, now_ms: float) -> None:
         """TIME_WINDOW boundary: refresh every item's commit rate, run the
         rules, reset the window counters."""
-        if self.config.mode is not Mode.TIME_WINDOW:
+        if self.config.mode is not _MODE_TIME_WINDOW:
             raise ValueError("close_window applies to TIME_WINDOW mode only")
         for item_id, state in self.states.items():
             state.cr = compute_cr(
@@ -239,18 +246,18 @@ class Controller:
         low, high = cfg.gamma - cfg.delta, cfg.gamma + cfg.delta
         rule: Optional[str] = None
         target: Optional[CCClass] = None
-        if current is CCClass.O and state.cr < low:
+        if current is _CLASS_O and state.cr < low:
             if cfg.beta is None or rt < cfg.beta:
-                rule, target = RULE_LOW_CR_TO_LOCKING, CCClass.P
-        elif current is CCClass.P:
+                rule, target = RULE_LOW_CR_TO_LOCKING, _CLASS_P
+        elif current is _CLASS_P:
             if cfg.beta is not None and state.cr < low and rt > cfg.beta:
-                rule, target = RULE_BARRIER_EXCEEDED, CCClass.O
+                rule, target = RULE_BARRIER_EXCEEDED, _CLASS_O
             elif state.cr > high and self._queue_allows_switch_back(state):
-                rule, target = RULE_HIGH_CR_TO_OPTIMISTIC, CCClass.O
+                rule, target = RULE_HIGH_CR_TO_OPTIMISTIC, _CLASS_O
         if target is None:
             return
         self.reclassify(item_id, target)
-        if target is CCClass.O:
+        if target is _CLASS_O:
             state.last_queue_len = 0  # the queue was flushed with the switch
         event = AdaptEvent(now, item_id, current, target, state.cr, rt, rule)
         if self.event_sink is not None:

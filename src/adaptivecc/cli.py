@@ -19,6 +19,11 @@ Subcommands:
   one streaming pass over the file's CSV rows (``sg.trace_rows``), which
   converts only the txn id of each row and keeps no row; ``sg.find_cycle``
   then decides acyclicity without sorting.
+
+``run``, ``classify`` and ``sg-check`` exit 2 with one line on stderr when
+an input or output file cannot be opened, ``classify`` also when its
+manifest does not parse, and ``sg-check`` when its trace does not; the
+exit 1 of ``sg-check`` means a cycle and nothing else.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .harness import (
 # bench/spans.py wraps cli.read_trace_csv, cli.build_serialization_graph and
 # cli.find_cycle by name.
 from .sg import (  # noqa: F401
+    MalformedHistoryError,
     build_serialization_graph,
     find_cycle,
     read_trace_csv,
@@ -139,6 +145,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (ConfigurationError, ValueError) as exc:
         print(f"bad config {args.config}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the config unreadable, or out_dir unwritable
+        print(f"run {args.config}: {exc}", file=sys.stderr)
+        return 2
     s = result.summary
     print(
         f"tas={s.tas} commits/sec={s.commits_per_sec:.2f} "
@@ -170,19 +179,29 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    with open(args.manifest, encoding="utf-8") as infile:
-        if args.out:
-            with open(args.out, "w", newline="", encoding="utf-8") as outfile:
-                count = classify_manifest(infile, outfile)
-        else:
-            count = classify_manifest(infile, sys.stdout)
+    try:
+        with open(args.manifest, encoding="utf-8") as infile:
+            if args.out:
+                with open(args.out, "w", newline="", encoding="utf-8") as outfile:
+                    count = classify_manifest(infile, outfile)
+            else:
+                count = classify_manifest(infile, sys.stdout)
+    except (OSError, ValueError) as exc:  # ValueError: a malformed manifest
+        print(f"classify {args.manifest}: {exc}", file=sys.stderr)
+        return 2
     print(f"classified {count} items", file=sys.stderr)
     return 0
 
 
 def _cmd_sg_check(args: argparse.Namespace) -> int:
-    with open(args.trace, newline="", encoding="utf-8") as fh:
-        graph = build_serialization_graph(trace_rows(fh))
+    # A trace that cannot be opened, or that raises one of the errors
+    # build_serialization_graph documents, is not a cycle: it exits 2.
+    try:
+        with open(args.trace, newline="", encoding="utf-8") as fh:
+            graph = build_serialization_graph(trace_rows(fh))
+    except (OSError, ValueError, IndexError, MalformedHistoryError) as exc:
+        print(f"bad trace {args.trace}: {exc}", file=sys.stderr)
+        return 2
     cycle = find_cycle(graph)
     if cycle:
         print("CYCLE: " + " -> ".join(str(t) for t in cycle))

@@ -40,6 +40,18 @@ aborts) are shared module constants.  ``tests/test_records.py`` replays
 whole runs and checks every record handed out against the public
 constructor.
 
+Function bodies name enum members through module-level bindings made once
+(``_CLASS_P`` for ``CCClass.P``, ``_PHASE_ABORTED`` for ``Phase.ABORTED``,
+``_READ_ABORTED`` for ``ReadStatus.ABORTED``: an underscore, the enum's
+word, the member's name).  On CPython 3.11 ``EnumType`` defines
+``__getattr__``, so ``CCClass.P`` runs a Python-level hook on every load,
+about ten times the cost of a global load, even though the member exists.
+The modules a replay runs (this one, ``locks``, ``store``, ``harness``,
+``adaptation`` and ``metrics``) follow the same rule, and read a member's
+value as ``_value_`` rather than through the ``value`` property.
+``tests/test_packaging.py`` finds any ``Enum.MEMBER`` load left in a
+function body of those modules.
+
 Read-only transactions never lock or reserve and always commit; each of
 their reads is served from the latest committed state, so a multi-item
 read-only transaction is not conflict-ordered against updaters.
@@ -58,6 +70,9 @@ from .semantic import EscrowLedger, reconcile_check, reconcile_commit
 from .store import CCClass, ConstraintViolationError, Store, VersionedItem
 
 _new = tuple.__new__  # _new(Cls, fields): a NamedTuple without its Python-level __new__
+# enum members, bound once (see the module docstring)
+_CLASS_O, _CLASS_R, _CLASS_P, _CLASS_E = CCClass.O, CCClass.R, CCClass.P, CCClass.E
+_ACQUIRE_QUEUED, _ACQUIRE_DEADLOCK_REFUSED = AcquireStatus.QUEUED, AcquireStatus.DEADLOCK_REFUSED
 
 
 class Phase(Enum):
@@ -68,6 +83,12 @@ class Phase(Enum):
     ABORTED = "aborted"
 
 
+_PHASE_READING, _PHASE_DISCONNECTED, _PHASE_WRITING = (
+    Phase.READING, Phase.DISCONNECTED, Phase.WRITING
+)
+_PHASE_COMMITTED, _PHASE_ABORTED = Phase.COMMITTED, Phase.ABORTED
+
+
 class AbortReason(Enum):
     VALIDATION = "validation"
     CONSTRAINT = "constraint"
@@ -75,10 +96,17 @@ class AbortReason(Enum):
     RECLASSIFICATION = "reclassification"
 
 
+_ABORT_VALIDATION, _ABORT_CONSTRAINT = AbortReason.VALIDATION, AbortReason.CONSTRAINT
+_ABORT_DEADLOCK, _ABORT_RECLASSIFICATION = AbortReason.DEADLOCK, AbortReason.RECLASSIFICATION
+
+
 class ReadStatus(Enum):
     DONE = "done"
     WAITING = "waiting"
     ABORTED = "aborted"
+
+
+_READ_DONE = ReadStatus.DONE
 
 
 class EngineError(Exception):
@@ -149,7 +177,7 @@ class Txn:
 
     @property
     def terminated(self) -> bool:
-        return self.phase in (Phase.COMMITTED, Phase.ABORTED)
+        return self.phase in (_PHASE_COMMITTED, _PHASE_ABORTED)
 
 
 class TerminationRecord(NamedTuple):
@@ -242,16 +270,16 @@ class Engine:
         self._admit(txn, "read")
         rec = txn.read_set.get(item_id)
         if rec is not None:
-            return _new(ReadOutcome, (ReadStatus.DONE, rec.value, rec.version, False, None))
+            return _new(ReadOutcome, (_READ_DONE, rec.value, rec.version, False, None))
         item = self.store.item(item_id)
-        if item.current_class is CCClass.P and not txn.read_only:
+        if item.current_class is _CLASS_P and not txn.read_only:
             status = self.locks.acquire(txn.txn_id, item_id)
-            if status is AcquireStatus.QUEUED:
+            if status is _ACQUIRE_QUEUED:
                 txn.waiting_on = item_id
                 txn._pending_cb = on_complete
                 return _WAITING
-            if status is AcquireStatus.DEADLOCK_REFUSED:
-                self._terminate(txn, Phase.ABORTED, AbortReason.DEADLOCK)
+            if status is _ACQUIRE_DEADLOCK_REFUSED:
+                self._terminate(txn, _PHASE_ABORTED, _ABORT_DEADLOCK)
                 return _DEADLOCKED
             lock = (int(self.clock()), txn.txn_id, sg.LOCK, item_id, "P")
             self.trace.append(_new(sg.ScheduleEvent, lock))
@@ -269,10 +297,10 @@ class Engine:
         if txn.read_only:
             raise IntentError("read-only transactions reserve nothing")
         item = self.store.item(item_id)
-        if item.current_class is not CCClass.E:
+        if item.current_class is not _CLASS_E:
             raise IntentError(f"{item_id} is not escrow-controlled")
         if not self.escrow.request(item_id, txn.txn_id, intended_delta):
-            self._terminate(txn, Phase.ABORTED, AbortReason.CONSTRAINT)
+            self._terminate(txn, _PHASE_ABORTED, _ABORT_CONSTRAINT)
             return _REFUSED
         return self._record_read(txn, item, granted=True)
 
@@ -285,26 +313,26 @@ class Engine:
         # _value_ is the member's value, read without the .value property
         row = (int(now), txn.txn_id, sg.READ, item.id, f"v{version}@{cls._value_}")
         self.trace.append(_new(sg.ScheduleEvent, row))
-        return _new(ReadOutcome, (ReadStatus.DONE, value, version, granted, None))
+        return _new(ReadOutcome, (_READ_DONE, value, version, granted, None))
 
     def disconnect(self, txn: Txn) -> None:
         """End the read phase; locks and reservations persist."""
         self._admit(txn, "disconnect")
-        txn.phase = Phase.DISCONNECTED
+        txn.phase = _PHASE_DISCONNECTED
 
     def submit_write_set(self, txn: Txn, writes: dict[str, WriteIntent]) -> None:
         """Hand in the complete write set; every target must have been read."""
-        self._admit(txn, "write", (Phase.READING, Phase.DISCONNECTED))
+        self._admit(txn, "write", (_PHASE_READING, _PHASE_DISCONNECTED))
         if txn.read_only and writes:
             raise IntentError("read-only transaction submitted writes")
         for item_id, intent in writes.items():
             rec = txn.read_set.get(item_id)
             if rec is None:
                 raise BlindWriteError(f"{item_id} was not read by txn {txn.txn_id}")
-            if rec.class_at_read in (CCClass.R, CCClass.E):
+            if rec.class_at_read in (_CLASS_R, _CLASS_E):
                 if intent.kind != "delta":
                     raise IntentError(f"{item_id} ({rec.class_at_read}) needs a delta")
-                if rec.class_at_read is CCClass.E:
+                if rec.class_at_read is _CLASS_E:
                     granted = self.escrow.granted_delta(item_id, txn.txn_id)
                     if granted is None or granted != intent.amount:
                         raise IntentError(
@@ -314,7 +342,7 @@ class Engine:
                 raise IntentError(f"{item_id} ({rec.class_at_read}) needs an absolute value")
         txn.write_set = dict(writes)
         txn.write_submit_ms = self.clock()
-        txn.phase = Phase.WRITING
+        txn.phase = _PHASE_WRITING
 
     def commit_pipeline(self, txn: Txn) -> tuple[Phase, Optional[AbortReason]]:
         """Run the atomic commit sequence; all items install or none do.
@@ -325,17 +353,17 @@ class Engine:
         reclassification rule for items that changed class mid-flight, and
         only then the per-item installs in canonical id order.
         """
-        if txn.phase is not Phase.WRITING:
+        if txn.phase is not _PHASE_WRITING:
             raise PhaseError(f"txn {txn.txn_id} cannot commit in phase {txn.phase}")
         if not txn.read_only:
             order = sorted(txn.write_set)  # canonical id order, for checks and installs
             reason = self._validate(txn, order)
             if reason is not None:
-                self._terminate(txn, Phase.ABORTED, reason)
-                return Phase.ABORTED, reason
+                self._terminate(txn, _PHASE_ABORTED, reason)
+                return _PHASE_ABORTED, reason
             self._apply(txn, order)
-        self._terminate(txn, Phase.COMMITTED, None)
-        return Phase.COMMITTED, None
+        self._terminate(txn, _PHASE_COMMITTED, None)
+        return _PHASE_COMMITTED, None
 
     def _validate(self, txn: Txn, order: list[str]) -> Optional[AbortReason]:
         # Semantic constraints: R deltas against the latest committed state,
@@ -347,7 +375,7 @@ class Engine:
             intent = write_set[item_id]
             rec = txn.read_set[item_id]
             try:
-                if rec.class_at_read is CCClass.R:
+                if rec.class_at_read is _CLASS_R:
                     reconcile_check(self.store, item_id, intent.amount)
                 elif intent.kind == "absolute":
                     item = item_of(item_id)
@@ -356,7 +384,7 @@ class Engine:
                     ):
                         raise ConstraintViolationError(item_id)
             except ConstraintViolationError:
-                return AbortReason.CONSTRAINT
+                return _ABORT_CONSTRAINT
 
         # One pass over the read set checks, for each entry:
         # * backward validation, over the whole optimistic read set, even
@@ -371,21 +399,21 @@ class Engine:
         # never change class, and an unwritten P read has nothing to check.
         reclassified = False
         for item_id, rec in txn.read_set.items():
-            read_optimistic = rec.class_at_read is CCClass.O
+            read_optimistic = rec.class_at_read is _CLASS_O
             written = item_id in write_set
-            if not read_optimistic and (rec.class_at_read is not CCClass.P or not written):
+            if not read_optimistic and (rec.class_at_read is not _CLASS_P or not written):
                 continue
             item = item_of(item_id)
-            if item.current_class is CCClass.O:
+            if item.current_class is _CLASS_O:
                 if read_optimistic and item.version != rec.version:
-                    return AbortReason.VALIDATION
+                    return _ABORT_VALIDATION
                 if written:
                     holder = self.locks.holder(item_id)
                     if holder is not None and holder != txn.txn_id:
-                        return AbortReason.VALIDATION
-            elif read_optimistic and item.current_class is CCClass.P:
+                        return _ABORT_VALIDATION
+            elif read_optimistic and item.current_class is _CLASS_P:
                 reclassified = True
-        return AbortReason.RECLASSIFICATION if reclassified else None
+        return _ABORT_RECLASSIFICATION if reclassified else None
 
     def _apply(self, txn: Txn, order: list[str]) -> None:
         # _validate checked each R delta against the state it installs over,
@@ -397,11 +425,11 @@ class Engine:
             rec = read_set[item_id]
             item = self.store.item(item_id)
             cls = rec.class_at_read
-            if cls is CCClass.E:
+            if cls is _CLASS_E:
                 self.escrow.commit(item_id, txn.txn_id)
-            elif cls is CCClass.R:
+            elif cls is _CLASS_R:
                 reconcile_commit(self.store, item_id, intent.amount)
-            elif cls is CCClass.O:
+            elif cls is _CLASS_O:
                 self.store.install_version(item_id, intent.amount, rec.version)
             else:  # P: the lock held since read time is the commit right
                 self.store.install_version(item_id, intent.amount)
@@ -412,14 +440,14 @@ class Engine:
         """Abort from any non-terminal phase; a no-op on terminated txns."""
         if txn.terminated:
             return False
-        self._terminate(txn, Phase.ABORTED, None)
+        self._terminate(txn, _PHASE_ABORTED, None)
         return True
 
     def _terminate(self, txn: Txn, phase: Phase, reason: Optional[AbortReason]) -> None:
         txn.phase = phase
         txn.abort_reason = reason
         txn.termination_ms = now = self.clock()
-        committed = phase is Phase.COMMITTED
+        committed = phase is _PHASE_COMMITTED
         if committed:
             row = (int(now), txn.txn_id, sg.COMMIT, "", "")
         else:
@@ -465,7 +493,7 @@ class Engine:
 
     def _complete_grant(self, item_id: str, txn_id: int) -> None:
         txn = self._active.get(txn_id)
-        while txn is None or txn.phase is not Phase.READING or txn.waiting_on != item_id:
+        while txn is None or txn.phase is not _PHASE_READING or txn.waiting_on != item_id:
             # The waiter died between queueing and grant; pass the lock on.
             grant = self.locks.release(txn_id, item_id)
             if grant is None:
@@ -499,7 +527,7 @@ class Engine:
         item = self.store.item(item_id)
         was = item.current_class
         self.store.set_current_class(item_id, to_class)
-        if was is CCClass.P and to_class is CCClass.O:
+        if was is _CLASS_P and to_class is _CLASS_O:
             error: Optional[Exception] = None
             for txn_id in self.locks.drain_queue(item_id):
                 txn = self._active.get(txn_id)

@@ -62,6 +62,11 @@ from .metrics import Summary, TimeWindowRow
 from .simclock import Scheduler, Session
 from .store import CCClass, Constraint, Store
 
+# bound once: see the engine module docstring
+_CLASS_O, _CLASS_R, _CLASS_P, _CLASS_E = CCClass.O, CCClass.R, CCClass.P, CCClass.E
+_READ_WAITING, _READ_ABORTED = ReadStatus.WAITING, ReadStatus.ABORTED
+_MODE_TIME_WINDOW = Mode.TIME_WINDOW
+
 TEMPLATE_SINGLE_ITEM = "single_item"
 TEMPLATE_TPCC_DECK = "tpcc_deck"
 
@@ -134,23 +139,23 @@ def poisson_arrivals(lam: float, duration_ms: float, rng: random.Random) -> list
 
 def single_item_store() -> Store:
     store = Store()
-    store.create_item(HOT_ITEM, 0, CCClass.O)
+    store.create_item(HOT_ITEM, 0, _CLASS_O)
     return store
 
 
 def tpcc_store(si_only: bool = False) -> Store:
     """Hot-spot rows of the reduced deck, one scalar item each."""
     def cls(c: CCClass) -> CCClass:
-        return CCClass.O if si_only else c
+        return _CLASS_O if si_only else c
 
     store = Store()
-    store.create_item("Customer", 1, cls(CCClass.P))
-    store.create_item("CustomerCredit", 1, cls(CCClass.P))
-    store.create_item("CustomerBalance", 1000, cls(CCClass.R))
-    store.create_item("WarehouseYTD", 0, cls(CCClass.R))
-    store.create_item("DistrictYTD", 0, cls(CCClass.R))
+    store.create_item("Customer", 1, cls(_CLASS_P))
+    store.create_item("CustomerCredit", 1, cls(_CLASS_P))
+    store.create_item("CustomerBalance", 1000, cls(_CLASS_R))
+    store.create_item("WarehouseYTD", 0, cls(_CLASS_R))
+    store.create_item("DistrictYTD", 0, cls(_CLASS_R))
     store.create_item(
-        "StockQuantity", 100_000, cls(CCClass.E), Constraint(lower=0, strict_lower=True)
+        "StockQuantity", 100_000, cls(_CLASS_E), Constraint(lower=0, strict_lower=True)
     )
     return store
 
@@ -232,7 +237,7 @@ def _decks(rng: random.Random) -> Iterator[TxnTemplate]:
 
 def _fig7_store(si_only: bool) -> Store:
     store = single_item_store()
-    store.create_item("ledger", 5, CCClass.R, Constraint(lower=0))  # R under si_only too
+    store.create_item("ledger", 5, _CLASS_R, Constraint(lower=0))  # R under si_only too
     return store
 
 
@@ -282,7 +287,7 @@ class ExperimentResult:
         for ev in self.adapt_events:
             if ev.item_id != item_id:
                 continue
-            if ev.to_class is CCClass.P:
+            if ev.to_class is _CLASS_P:
                 in_p = True
             elif in_p:
                 trips += 1
@@ -321,7 +326,7 @@ class ExperimentRunner:
             raise ConfigurationError(f"unknown engine_mode {engine_mode!r}")
         self.store = store or WORKLOADS[profile.template].store(engine_mode == "si_only")
         if engine_mode == "si_only":  # whoever built the store
-            mixed = sorted(i.id for i in self.store.items() if i.static_class is not CCClass.O)
+            mixed = sorted(i.id for i in self.store.items() if i.static_class is not _CLASS_O)
             if mixed:
                 raise ConfigurationError(f"si_only needs every item in O: {', '.join(mixed)}")
         self.profile = profile
@@ -369,9 +374,9 @@ class ExperimentRunner:
                 outcome = engine.read_escrow(txn, item_id, delta)
             else:
                 outcome = engine.read(txn, item_id, resume)
-                if outcome.status is ReadStatus.WAITING:
+                if outcome.status is _READ_WAITING:
                     outcome = yield
-            if outcome.status is ReadStatus.ABORTED:
+            if outcome.status is _READ_ABORTED:
                 return
             if op_cost_ms > 0:
                 txn.service_ms += op_cost_ms
@@ -383,7 +388,7 @@ class ExperimentRunner:
                 if delta is None:
                     continue
                 value, _, cls = read_set[item_id]
-                if cls is CCClass.R or cls is CCClass.E:
+                if cls is _CLASS_R or cls is _CLASS_E:
                     writes[item_id] = _new(WriteIntent, ("delta", delta))
                 else:
                     writes[item_id] = _new(WriteIntent, ("absolute", value + delta))
@@ -410,10 +415,10 @@ class ExperimentRunner:
 
     def _boundary(self) -> None:
         now = self.scheduler.now_ms
-        if self.controller is not None and self.controller.config.mode is Mode.TIME_WINDOW:
+        if self.controller is not None and self.controller.config.mode is _MODE_TIME_WINDOW:
             self.controller.close_window(now)
         if self._watched is not None:
-            cls = self.store.item(self._watched).current_class.value
+            cls = self.store.item(self._watched).current_class._value_
             rt = self.controller.rt_est(self._watched) if self.controller else 0.0
         else:
             cls, rt = "-", 0.0
@@ -443,7 +448,7 @@ class ExperimentRunner:
         plan = WORKLOADS[self.profile.template].plan(self.profile, self.rng)
         self._planned = len(plan)
         # E is a static class: no item moves into or out of it.
-        self._escrow_items = {i.id for i in self.store.items() if i.static_class is CCClass.E}
+        self._escrow_items = {i.id for i in self.store.items() if i.static_class is _CLASS_E}
         self.scheduler.call_later(self.tw_ms, self._boundary)
         self.scheduler.run(sorted(plan, key=itemgetter(0)), self._start)
         if len(self.events) < len(plan):

@@ -39,6 +39,12 @@ class AcquireStatus(Enum):
     DEADLOCK_REFUSED = "deadlock_refused"
 
 
+# bound once: see the engine module docstring
+_ACQUIRE_GRANTED, _ACQUIRE_QUEUED, _ACQUIRE_DEADLOCK_REFUSED = (
+    AcquireStatus.GRANTED, AcquireStatus.QUEUED, AcquireStatus.DEADLOCK_REFUSED
+)
+
+
 class LockError(Exception):
     pass
 
@@ -115,14 +121,14 @@ class LockManager:
         if holder is None:
             self._holders[item_id] = txn_id
             self._held.setdefault(txn_id, set()).add(item_id)
-            return AcquireStatus.GRANTED
+            return _ACQUIRE_GRANTED
         if holder == txn_id:
-            return AcquireStatus.GRANTED  # re-entrant
+            return _ACQUIRE_GRANTED  # re-entrant
         if self._would_deadlock(txn_id, item_id):
-            return AcquireStatus.DEADLOCK_REFUSED
+            return _ACQUIRE_DEADLOCK_REFUSED
         self._queues.setdefault(item_id, deque()).append(txn_id)
         self._waiting[txn_id] = item_id
-        return AcquireStatus.QUEUED
+        return _ACQUIRE_QUEUED
 
     def release(self, txn_id: int, item_id: str) -> Optional[Grant]:
         """Hand the lock to the queue head, if any. Returns the grant made."""

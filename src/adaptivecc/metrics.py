@@ -20,6 +20,9 @@ from .adaptation import AdaptEvent, compute_cr, compute_cr_eff
 from .engine import AbortReason, TerminationRecord
 from .store import CCClass
 
+# bound once: see the engine module docstring
+_ABORT_RECLASSIFICATION = AbortReason.RECLASSIFICATION
+
 TERMINATION_COLUMNS = [
     "txn_id",
     "time_ms",
@@ -115,7 +118,7 @@ def aggregate(
             committed[bucket] += 1
         else:
             aborted[bucket] += 1
-            if ev.abort_reason is AbortReason.RECLASSIFICATION:
+            if ev.abort_reason is _ABORT_RECLASSIFICATION:
                 reclass[bucket] += 1
 
     sample_list = sorted(samples) if samples else []
@@ -179,8 +182,10 @@ def summarize(
     # One pass over the records, through their integer views (computed
     # inline: no property call per record).  The sums are of ints, so they
     # are exact, and the mean is the one fmean takes over the same ints.
+    # Aborts are counted by the reason's _value_: an Enum member hashes
+    # through a Python-level __hash__.
     total = commits = rt_sum = service_sum = 0
-    aborts_by: dict[object, int] = {}
+    aborts_by: dict[Optional[str], int] = {}
     for _, outcome, reason, arrival, _, _, termination, _, _, service in events:
         total += 1
         response = int(termination - arrival)
@@ -189,7 +194,8 @@ def summarize(
             commits += 1
             service_sum += min(int(service), response)
         else:
-            aborts_by[reason] = aborts_by.get(reason, 0) + 1
+            key = reason._value_ if reason else None
+            aborts_by[key] = aborts_by.get(key, 0) + 1
     if not total:
         raise ValueError("no termination events to summarize")
     if elapsed_ms <= 0:
@@ -204,7 +210,9 @@ def summarize(
         commits_per_sec=commits / (elapsed_ms / 1000.0),
         deg_conc=service_sum / elapsed_ms,
         abort_rate=(total - commits) / total,
-        abort_rate_by_reason={r.value: aborts_by.get(r, 0) / total for r in AbortReason},
+        abort_rate_by_reason={
+            r._value_: aborts_by.get(r._value_, 0) / total for r in AbortReason
+        },
     )
 
 
@@ -318,7 +326,7 @@ def write_adaptation_csv(events: Iterable[AdaptEvent], outfile: TextIO) -> None:
     writer = csv.writer(outfile)
     writer.writerow(ADAPTATION_COLUMNS)
     writer.writerows(
-        (int(ev.time_ms), ev.item_id, ev.from_class.value, ev.to_class.value,
+        (int(ev.time_ms), ev.item_id, ev.from_class._value_, ev.to_class._value_,
          f"{ev.cr:.6f}", f"{ev.rt_est:.3f}", ev.rule)
         for ev in events
     )

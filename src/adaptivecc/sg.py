@@ -67,11 +67,6 @@ class ScheduleEvent(NamedTuple):
     item: str = ""
     detail: str = ""
 
-    def item_class(self) -> Optional[CCClass]:
-        if "@" in self.detail:
-            return CCClass(self.detail.rsplit("@", 1)[1])
-        return None
-
 
 class Edge(NamedTuple):
     src: int
@@ -84,12 +79,6 @@ class Edge(NamedTuple):
 class SerializationGraph:
     nodes: set[int] = field(default_factory=set)
     edges: set[Edge] = field(default_factory=set)
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {n: set() for n in self.nodes}
-        for edge in self.edges:
-            adj[edge.src].add(edge.dst)
-        return adj
 
 
 def build_serialization_graph(events: Iterable[Sequence]) -> SerializationGraph:

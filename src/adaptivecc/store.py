@@ -10,6 +10,7 @@ value must satisfy.
 from __future__ import annotations
 
 import csv
+import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,6 +27,10 @@ class CCClass(Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# bound once: see the engine module docstring
+_CLASS_O, _CLASS_R, _CLASS_P, _CLASS_E = CCClass.O, CCClass.R, CCClass.P, CCClass.E
 
 
 class StoreError(Exception):
@@ -54,7 +59,8 @@ class ClassPinningError(StoreError):
 
 @dataclass(frozen=True)
 class Constraint:
-    """Closed/open interval bounds on a numeric item value."""
+    """Closed/open interval bounds on a numeric item value; a bound is None
+    (that side unbounded) or a number, never NaN."""
 
     lower: Optional[float] = None
     upper: Optional[float] = None
@@ -62,6 +68,9 @@ class Constraint:
     strict_upper: bool = False
 
     def __post_init__(self) -> None:
+        for bound in (self.lower, self.upper):
+            if bound is not None and bound != bound:  # only NaN is unequal to itself
+                raise ValueError("a constraint bound must not be NaN")
         if self.lower is not None and self.upper is not None:
             if self.strict_lower or self.strict_upper:
                 if not self.lower < self.upper:
@@ -123,8 +132,11 @@ class Store:
         with self._mutex:
             if item_id in self._items:
                 raise DuplicateItemError(item_id)
-            if cc_class in (CCClass.R, CCClass.E) and not isinstance(value, (int, float)):
-                raise ValueError(f"{cc_class} item {item_id!r} needs a numeric value")
+            if cc_class in (_CLASS_R, _CLASS_E) and (
+                not isinstance(value, (int, float))
+                or (isinstance(value, float) and not math.isfinite(value))  # ints are finite
+            ):
+                raise ValueError(f"{cc_class} item {item_id!r} needs a finite numeric value")
             if constraint is not None and not constraint.satisfied(value):
                 raise ConstraintViolationError(
                     f"initial value {value!r} of {item_id!r} violates constraint"
@@ -135,7 +147,7 @@ class Store:
                 static_class=cc_class,
                 current_class=cc_class,
                 constraint=constraint,
-                adaptable=(cc_class is CCClass.O),
+                adaptable=(cc_class is _CLASS_O),
             )
             self._items[item_id] = item
             return item
@@ -184,7 +196,7 @@ class Store:
                 raise ClassPinningError(
                     f"{item_id} is statically {item.static_class}; cannot reclassify"
                 )
-            if cc_class not in (CCClass.O, CCClass.P):
+            if cc_class not in (_CLASS_O, _CLASS_P):
                 raise ClassPinningError(
                     f"adaptable items move only between O and P, not {cc_class}"
                 )

@@ -239,3 +239,66 @@ def test_replay_scenario_writes_trace(tmp_path, capsys):
     )
     lines = (out_dir / "terminations.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 15  # header and one row per scripted transaction
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config"],
+        ["sg-check", "--trace"],
+        ["classify", "--manifest"],
+    ],
+    ids=["run", "sg-check", "classify"],
+)
+def test_commands_exit_2_on_a_file_they_cannot_open(tmp_path, capsys, argv):
+    assert main([*argv, str(tmp_path / "missing")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "missing" in err and "Traceback" not in err
+
+
+def test_classify_exits_2_on_a_malformed_manifest(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("id,mr\nx,1\n")
+    assert main(["classify", "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "manifest header" in err
+
+
+def test_outputs_that_cannot_be_written_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    config = tmp_path / "exp.conf"
+    config.write_text(f"lambda = 5\nmode = off\nout_dir = {blocker / 'out'}\n")
+    assert main(["run", "--config", str(config)]) == 2
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("id,mr,fw,un,ow,con,num,com,dep,in,gua\n")
+    assert main(["classify", "--manifest", str(manifest), "--out", str(blocker / "x")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 2 and "Traceback" not in err
+
+
+_HEADER = "time_ms,txn_id,op,item,detail\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "time,txn\n0,1\n",  # a wrong header: ValueError
+        _HEADER + "0,1,r,x\n1,1,c,,\n",  # a short row: IndexError
+        _HEADER + "0,1,r,x,v1@Q\n1,1,c,,\n",  # an unknown class letter: ValueError
+        _HEADER + "0,one,r,x,v1@O\n1,1,c,,\n",  # a non-integer txn id: ValueError
+        _HEADER + "0,1,z,x,\n1,1,c,,\n",  # an unknown op: MalformedHistoryError
+        _HEADER + "0,1,r,x,v1@O\n",  # no commit or abort: MalformedHistoryError
+        _HEADER + "0,1,r,x,v1\n1,1,c,,\n",  # no class annotation: MalformedHistoryError
+    ],
+    ids=["header", "short_row", "bad_class", "bad_txn_id", "unknown_op", "unterminated",
+         "unannotated"],
+)
+def test_sg_check_exits_2_on_a_malformed_trace(tmp_path, capsys, text):
+    # Exit 1 stays "cycle"; a trace the checker cannot parse is not one.
+    trace = tmp_path / "trace.csv"
+    trace.write_text(text)
+    assert main(["sg-check", "--trace", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err

@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,73 @@ def test_single_threaded_layers_import_no_threading():
             else:
                 continue
             assert all(name.split(".")[0] != "threading" for name in names), module
+
+
+# The modules a replay runs.  classify and cli run once per command, so an
+# enum lookup there costs nothing per operation and they are not scanned.
+_REPLAY_MODULES = (
+    "engine", "locks", "semantic", "store", "harness", "adaptation", "metrics", "simclock", "sg",
+)
+
+
+def _enum_lookups_in_function_bodies(source, namespace):
+    # (line, column, "Name.ATTR") of each attribute load, inside a function
+    # or lambda body, whose Name is bound to an Enum subclass in
+    # ``namespace``.  Defaults, decorators and class bodies run once, so
+    # they are not scanned.
+    enums = {
+        name for name, value in namespace.items()
+        if isinstance(value, type) and issubclass(value, Enum)
+    }
+    bodies = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bodies.extend(node.body)
+        elif isinstance(node, ast.Lambda):
+            bodies.append(node.body)
+    return sorted({
+        (sub.lineno, sub.col_offset, f"{sub.value.id}.{sub.attr}")
+        for body in bodies
+        for sub in ast.walk(body)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.ctx, ast.Load)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id in enums
+    })
+
+
+def test_replay_modules_look_up_no_enum_member_per_call():
+    # On CPython 3.11, EnumType defines __getattr__, so every load of a
+    # class attribute such as CCClass.P runs a Python-level hook (about ten
+    # times a global load).  The replay modules bind the members they use to
+    # module-level names once and use those names in function bodies.  The
+    # enum classes are the ones each imported module binds, not a list kept
+    # here.
+    found = {}
+    for name in _REPLAY_MODULES:
+        module = importlib.import_module(f"adaptivecc.{name}")
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        sites = _enum_lookups_in_function_bodies(source, vars(module))
+        if sites:
+            found[name] = sites
+    assert not found, found
+
+
+def test_the_enum_lookup_scan_finds_every_lookup_in_a_body():
+    source = (
+        "from enum import Enum\n"
+        "class Color(Enum):\n"
+        "    RED = 1\n"
+        "DEFAULT = Color.RED\n"
+        "def paint(color=Color.RED):\n"
+        "    return color is Color.RED or (lambda: Color.RED)()\n"
+    )
+    namespace = {}
+    exec(compile(source, "painted.py", "exec"), namespace)
+    assert _enum_lookups_in_function_bodies(source, namespace) == [
+        (6, 20, "Color.RED"),
+        (6, 42, "Color.RED"),
+    ]
 
 
 def test_harness_wires_one_engine_and_controller():

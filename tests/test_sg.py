@@ -119,6 +119,21 @@ def test_trace_csv_roundtrip():
 # -- the all-pairs conflict graph as a differential oracle -------------------
 
 
+def item_class(event):
+    """The class of a read or write row's ``v<version>@<class>`` detail."""
+    if "@" in event.detail:
+        return CCClass(event.detail.rsplit("@", 1)[1])
+    return None
+
+
+def adjacency(graph):
+    """node -> the set of its successors, for every node of the graph."""
+    adj = {node: set() for node in graph.nodes}
+    for edge in graph.edges:
+        adj[edge.src].add(edge.dst)
+    return adj
+
+
 def oracle_build_serialization_graph(events):
     """The conflict graph with an edge for every pair of conflicting
     operations on an O/P item between committed transactions: O(ops^2)
@@ -130,7 +145,7 @@ def oracle_build_serialization_graph(events):
     for ev in events:
         if ev.op not in (READ, WRITE) or ev.txn_id not in committed:
             continue
-        cls = ev.item_class()
+        cls = item_class(ev)
         if cls in (CCClass.O, CCClass.P):
             per_item.setdefault(ev.item, []).append((ev.txn_id, ev.op))
     for item, ops in per_item.items():
@@ -145,7 +160,7 @@ def oracle_find_cycle(graph):
     """The cycle search ``find_cycle`` used before its Kahn pass: an
     iterative depth-first search over every node, roots and successors in
     ascending order, returning the first cycle it closes."""
-    adj = {node: sorted(succs) for node, succs in graph.adjacency().items()}
+    adj = {node: sorted(succs) for node, succs in adjacency(graph).items()}
     color = {}  # 0 unseen implicit, 1 on stack, 2 done
     for root in sorted(graph.nodes):
         if color.get(root, 0) != 0:
@@ -201,7 +216,7 @@ def test_find_cycle_matches_the_depth_first_oracle(graph):
 
 def reachability(graph):
     """node -> every node reachable from it over one or more edges."""
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     reach = {}
     for root in graph.nodes:
         seen, stack = set(), list(adj[root])
@@ -356,7 +371,6 @@ def test_schedule_event_is_a_plain_tuple():
     event = ev(3, 1, "r", "x", "v2@O")
     assert event == (3, 1, "r", "x", "v2@O")
     assert ev(3, 1, "c") == (3, 1, "c", "", "")
-    assert event.item_class() is CCClass.O
 
 
 def test_read_trace_csv_checks_the_header_and_skips_blank_rows():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -134,6 +135,35 @@ def test_bulk_load_csv(tmp_path):
     assert store.item("stock").current_class is CCClass.E
     assert store.item("price").constraint is None
     assert store.item("balance").constraint.upper == 100
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cc_class", [CCClass.R, CCClass.E])
+def test_semantic_items_refuse_a_non_finite_value(cc_class, value):
+    # R and E items do arithmetic on their value; from a NaN or infinite
+    # one, every later value is NaN or infinite too.
+    store = Store()
+    with pytest.raises(ValueError, match="finite"):
+        store.create_item("x", value, cc_class)
+    assert store.create_item("x", 10**400, cc_class).committed_value == 10**400
+    assert store.create_item("o", math.nan, CCClass.O).version == 1  # O/P values are opaque
+
+
+@pytest.mark.parametrize("bounds", [{"lower": math.nan}, {"upper": math.nan}])
+def test_constraint_refuses_a_nan_bound(bounds):
+    with pytest.raises(ValueError, match="NaN"):
+        Constraint(**bounds)
+    assert Constraint(lower=-math.inf, upper=math.inf).satisfied(0)
+
+
+@pytest.mark.parametrize(
+    "row, error", [("stock,E,nan", "finite"), ("bal,R,inf", "finite"), ("x,R,1,,nan", "NaN")]
+)
+def test_bulk_load_refuses_non_finite_values(tmp_path, row, error):
+    path = tmp_path / "items.csv"
+    path.write_text(f"id,class,initial_value,lower,upper\n{row}\n")
+    with pytest.raises(ValueError, match=error):
+        load_items_csv(Store(), str(path))
 
 
 def test_bulk_load_requires_header(tmp_path):
