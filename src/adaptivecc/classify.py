@@ -117,9 +117,11 @@ def _flag(cell: str) -> Optional[bool]:
 def classify_manifest(infile: TextIO, outfile: TextIO) -> int:
     """Turn a property-vector CSV into an ``id,class`` mapping.
 
-    Input header: ``id,mr,fw,un,ow,con,num,com,dep,in,gua``.  The six
-    semantic columns may be left empty for items stage one already decides.
-    Returns the number of items classified.
+    Input header: ``id,mr,fw,un,ow,con,num,com,dep,in,gua``.  A row needs
+    its four access cells; the six semantic cells may be left empty or out
+    for items stage one already decides, but a row that fills one of them
+    needs all six.  Cells may be blank; cells past the eleventh are ignored.
+    Returns the number of items classified; a malformed row raises ValueError.
     """
     reader = csv.reader(infile)
     header = next(reader, None)
@@ -133,10 +135,14 @@ def classify_manifest(infile: TextIO, outfile: TextIO) -> int:
             continue
         item_id = row[0].strip()
         flags = [_flag(c) for c in row[1:11]]
+        filled = any(f is not None for f in flags[4:])  # some semantic cell is filled
+        if len(flags) < 4 or (filled and len(flags) < 10):
+            raise ValueError(
+                f"line {reader.line_num} ({item_id}): needs 4 access cells, "
+                "then none or all 6 semantic cells"
+            )
         p = AccessProperties(*(bool(f) for f in flags[:4]))
-        semantic = None
-        if any(f is not None for f in flags[4:]):
-            semantic = SemanticProperties(*(bool(f) for f in flags[4:]))
+        semantic = SemanticProperties(*(bool(f) for f in flags[4:])) if filled else None
         result = classify(p, semantic)
         writer.writerow([item_id, result.cc_class.value])
         count += 1

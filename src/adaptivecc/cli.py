@@ -141,7 +141,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             profile, adapt_config, kwargs = build_run(parse_config(fh.read()))
-        result = run_experiment(profile, adapt_config, paced=args.paced, **kwargs)
+        result = run_experiment(profile, adapt_config, **kwargs)
     except (ConfigurationError, ValueError) as exc:
         print(f"bad config {args.config}: {exc}", file=sys.stderr)
         return 2
@@ -218,7 +218,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--paced", action="store_true", help="pace events on the wall clock")
     p_run.set_defaults(fn=_cmd_run)
 
     p_replay = sub.add_parser("replay-scenario", help="replay a scripted scenario")

@@ -23,11 +23,10 @@ termination passes every released lock on and wakes every new holder, then
 runs every sink, even when a continuation or an earlier sink raises; the
 first error is re-raised once all have run.
 
-The engine is single-threaded: the engine, its lock manager and its escrow
-ledger take no locks, and all calls into one engine must come from one
-thread (the harness drives it from one discrete-event loop).  Only the
-``Store`` keeps a mutex: used directly, from several threads, its installs
-stay atomic per item.
+The engine is single-threaded: the engine, its store, its lock manager and
+its escrow ledger take no locks, and all calls into one engine must come
+from one thread (the harness drives it from one discrete-event loop on a
+virtual clock).
 
 The records the engine hands out (read outcomes, read records, write
 intents, termination records, trace rows) are immutable ``NamedTuple``s:
@@ -59,6 +58,7 @@ read-only transaction is not conflict-ordered against updaters.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -291,7 +291,8 @@ class Engine:
         """Read an E item announcing the intended delta.
 
         A granted reservation guarantees the later commit of that delta; a
-        refusal aborts the transaction with reason CONSTRAINT.
+        refusal aborts the transaction with reason CONSTRAINT.  A NaN or
+        infinite delta raises IntentError and reserves nothing.
         """
         self._admit(txn, "read")
         if txn.read_only:
@@ -299,6 +300,8 @@ class Engine:
         item = self.store.item(item_id)
         if item.current_class is not _CLASS_E:
             raise IntentError(f"{item_id} is not escrow-controlled")
+        if not math.isfinite(intended_delta):
+            raise IntentError(f"{item_id}: intended delta {intended_delta} is not finite")
         if not self.escrow.request(item_id, txn.txn_id, intended_delta):
             self._terminate(txn, _PHASE_ABORTED, _ABORT_CONSTRAINT)
             return _REFUSED
@@ -321,7 +324,8 @@ class Engine:
         txn.phase = _PHASE_DISCONNECTED
 
     def submit_write_set(self, txn: Txn, writes: dict[str, WriteIntent]) -> None:
-        """Hand in the complete write set; every target must have been read."""
+        """Hand in the complete write set; every target must have been read,
+        and every R/E delta must be a finite number."""
         self._admit(txn, "write", (_PHASE_READING, _PHASE_DISCONNECTED))
         if txn.read_only and writes:
             raise IntentError("read-only transaction submitted writes")
@@ -332,6 +336,8 @@ class Engine:
             if rec.class_at_read in (_CLASS_R, _CLASS_E):
                 if intent.kind != "delta":
                     raise IntentError(f"{item_id} ({rec.class_at_read}) needs a delta")
+                if not math.isfinite(intent.amount):
+                    raise IntentError(f"{item_id}: delta {intent.amount} is not finite")
                 if rec.class_at_read is _CLASS_E:
                     granted = self.escrow.granted_delta(item_id, txn.txn_id)
                     if granted is None or granted != intent.amount:

@@ -5,8 +5,7 @@ per one-second epoch, executes each against the engine (read phase,
 uniform random disconnect, write phase), and feeds the adaptation
 controller and metrics collection.  Everything runs on a discrete-event
 clock; identical (profile, config, seed) triples replay byte-identically.
-Pacing the same event stream against the wall clock is available for
-live-throughput demonstrations and changes nothing logically.
+The clock is virtual only: a run never waits on the wall clock.
 
 A workload is a store plus a plan: ``WORKLOADS`` maps a profile's
 ``template`` to a store factory and a plan function that turns the profile
@@ -312,7 +311,6 @@ class ExperimentRunner:
         engine_mode: str = "orpe",
         store: Optional[Store] = None,
         op_cost_ms: float = 1.0,
-        paced: bool = False,
         tw_ms: Optional[float] = None,
     ) -> None:
         self.tw_ms = 100.0 if tw_ms is None else tw_ms
@@ -332,7 +330,7 @@ class ExperimentRunner:
         self.profile = profile
         self.op_cost_ms = op_cost_ms
         self.rng = random.Random(profile.seed)
-        self.scheduler = Scheduler(paced=paced)
+        self.scheduler = Scheduler()
         scheduler = self.scheduler  # the clock must not hold the runner
         self.engine = Engine(self.store, clock=lambda: scheduler.now_ms)
         self.adapt_events: list[AdaptEvent] = []

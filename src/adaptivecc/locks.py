@@ -20,8 +20,7 @@ and lets ``release_all`` withdraw from the one queue the transaction is
 in, instead of probing every queue; ``withdraw`` still removes from the
 middle of that queue in O(queue).  A per-transaction held-lock index
 (txn -> the items it holds) makes ``held_by`` and ``release_all`` cost
-O(own locks), however many locks other transactions hold.  ``wfg_edges``
-builds the full waits-for graph for diagnostics and tests only.
+O(own locks), however many locks other transactions hold.
 """
 
 from __future__ import annotations
@@ -80,19 +79,6 @@ class LockManager:
     def held_by(self, txn_id: int) -> tuple[str, ...]:
         """The items ``txn_id`` holds, in canonical (sorted) order."""
         return tuple(sorted(self._held.get(txn_id, ())))
-
-    def wfg_edges(self) -> set[tuple[int, int]]:
-        """Waits-for edges: each waiter waits for the holder and everyone
-        queued ahead of it (FIFO order makes those effective predecessors)."""
-        edges: set[tuple[int, int]] = set()
-        for item_id, queue in self._queues.items():
-            holder = self._holders.get(item_id)
-            ahead: list[int] = [holder] if holder is not None else []
-            for waiter in queue:
-                for blocker in ahead:
-                    edges.add((waiter, blocker))
-                ahead.append(waiter)
-        return edges
 
     def _would_deadlock(self, txn_id: int, item_id: str) -> bool:
         # Walk holder -> the item it waits on -> that item's holder ...

@@ -1,4 +1,4 @@
-"""Minimal discrete-event scheduler with a virtual or wall-paced clock.
+"""Minimal discrete-event scheduler on a virtual clock.
 
 The scheduler runs two kinds of heap entries, each ``(time, sequence,
 target, value)``: plain callbacks (``call_at``), and session steps.  A
@@ -14,16 +14,14 @@ row order.  A run always goes on until the arrivals and the heap are both
 used up.
 
 Events run in (time, insertion order) order, so identical inputs replay
-identically.  In paced mode the loop sleeps until each event's due time on
-the monotonic wall clock but still stamps events with their logical times;
-the logical outcome of a run never depends on the pacing.
+identically.  The clock is virtual only: ``now_ms`` jumps to each event's
+due time, and a run never waits on the wall clock.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 # A session yields a delay in ms, or None to park; resume() sends it a value.
@@ -33,9 +31,8 @@ _CALL = object()  # the value of a heap entry whose target is a plain callback
 
 
 class Scheduler:
-    def __init__(self, paced: bool = False) -> None:
+    def __init__(self) -> None:
         self.now_ms = 0.0
-        self.paced = paced
         self._queue: list[tuple[float, int, Any, Any]] = []
         self._seq = itertools.count()
 
@@ -60,9 +57,7 @@ class Scheduler:
         """Run until the arrivals and the queue are used up: ``start(row)``
         is called at time ``row[0]`` for each row of the time-sorted, lazily
         consumed ``arrivals``, and the session it returns is stepped at once."""
-        anchor = time.monotonic() - self.now_ms / 1000.0 if self.paced else 0.0
         queue, seq, push, pop = self._queue, self._seq, heapq.heappush, heapq.heappop
-        paced = self.paced
         arrivals = iter(arrivals)
         arrival = next(arrivals, None)
         while True:
@@ -78,10 +73,6 @@ class Scheduler:
                 when, _, target, value = pop(queue)
             else:
                 break
-            if paced:
-                lag = anchor + when / 1000.0 - time.monotonic()
-                if lag > 0:
-                    time.sleep(lag)
             self.now_ms = when
             if target is None:
                 target = start(row)

@@ -5,13 +5,14 @@ version counter, a static CC class assigned at creation, and a current CC
 class that the run-time controller may flip between O and P for adaptable
 items.  Numeric items may carry an interval constraint that every committed
 value must satisfy.
+
+The store is single-threaded, like the engine that owns it: it takes no
+locks, and all calls into one store must come from one thread.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
@@ -114,11 +115,10 @@ class VersionedItem:
 
 
 class Store:
-    """Item table; reads never block, installs are atomic per item."""
+    """Item table; an install replaces an item's value and version at once."""
 
     def __init__(self) -> None:
         self._items: dict[str, VersionedItem] = {}
-        self._mutex = threading.RLock()
 
     def create_item(
         self,
@@ -129,28 +129,27 @@ class Store:
     ) -> VersionedItem:
         if not item_id:
             raise ValueError("item id must be non-empty")
-        with self._mutex:
-            if item_id in self._items:
-                raise DuplicateItemError(item_id)
-            if cc_class in (_CLASS_R, _CLASS_E) and (
-                not isinstance(value, (int, float))
-                or (isinstance(value, float) and not math.isfinite(value))  # ints are finite
-            ):
-                raise ValueError(f"{cc_class} item {item_id!r} needs a finite numeric value")
-            if constraint is not None and not constraint.satisfied(value):
-                raise ConstraintViolationError(
-                    f"initial value {value!r} of {item_id!r} violates constraint"
-                )
-            item = VersionedItem(
-                id=item_id,
-                committed_value=value,
-                static_class=cc_class,
-                current_class=cc_class,
-                constraint=constraint,
-                adaptable=(cc_class is _CLASS_O),
+        if item_id in self._items:
+            raise DuplicateItemError(item_id)
+        if cc_class in (_CLASS_R, _CLASS_E) and (
+            not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))  # ints are finite
+        ):
+            raise ValueError(f"{cc_class} item {item_id!r} needs a finite numeric value")
+        if constraint is not None and not constraint.satisfied(value):
+            raise ConstraintViolationError(
+                f"initial value {value!r} of {item_id!r} violates constraint"
             )
-            self._items[item_id] = item
-            return item
+        item = VersionedItem(
+            id=item_id,
+            committed_value=value,
+            static_class=cc_class,
+            current_class=cc_class,
+            constraint=constraint,
+            adaptable=(cc_class is _CLASS_O),
+        )
+        self._items[item_id] = item
+        return item
 
     def item(self, item_id: str) -> VersionedItem:
         try:
@@ -163,9 +162,8 @@ class Store:
 
     def read_committed(self, item_id: str) -> tuple[object, int]:
         """Latest committed (value, version); never exposes uncommitted state."""
-        with self._mutex:
-            item = self.item(item_id)
-            return item.committed_value, item.version
+        item = self.item(item_id)
+        return item.committed_value, item.version
 
     def install_version(
         self,
@@ -174,64 +172,25 @@ class Store:
         expected_version: Optional[int] = None,
     ) -> int:
         """Commit-path primitive shared by all classes. Returns the new version."""
-        with self._mutex:
-            item = self.item(item_id)
-            if expected_version is not None and item.version != expected_version:
-                raise VersionMismatchError(
-                    f"{item_id}: expected v{expected_version}, at v{item.version}"
-                )
-            if item.constraint is not None and not item.constraint.satisfied(new_value):
-                raise ConstraintViolationError(
-                    f"{item_id}: value {new_value!r} violates constraint"
-                )
-            item.committed_value = new_value
-            item.version += 1
-            return item.version
+        item = self.item(item_id)
+        if expected_version is not None and item.version != expected_version:
+            raise VersionMismatchError(
+                f"{item_id}: expected v{expected_version}, at v{item.version}"
+            )
+        if item.constraint is not None and not item.constraint.satisfied(new_value):
+            raise ConstraintViolationError(f"{item_id}: value {new_value!r} violates constraint")
+        item.committed_value = new_value
+        item.version += 1
+        return item.version
 
     def set_current_class(self, item_id: str, cc_class: CCClass) -> None:
         """Reclassify an adaptable item between O and P."""
-        with self._mutex:
-            item = self.item(item_id)
-            if not item.adaptable:
-                raise ClassPinningError(
-                    f"{item_id} is statically {item.static_class}; cannot reclassify"
-                )
-            if cc_class not in (_CLASS_O, _CLASS_P):
-                raise ClassPinningError(
-                    f"adaptable items move only between O and P, not {cc_class}"
-                )
-            item.current_class = cc_class
+        item = self.item(item_id)
+        if not item.adaptable:
+            raise ClassPinningError(
+                f"{item_id} is statically {item.static_class}; cannot reclassify"
+            )
+        if cc_class not in (_CLASS_O, _CLASS_P):
+            raise ClassPinningError(f"adaptable items move only between O and P, not {cc_class}")
+        item.current_class = cc_class
 
-
-def load_items_csv(store: Store, path: str) -> int:
-    """Bulk-load items from CSV: ``id,class,initial_value,lower?,upper?``.
-
-    A header row is required.  Bounds are inclusive; leave the cell empty
-    for an unbounded side.  Returns the number of items created.
-    """
-    count = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != [
-            "id",
-            "class",
-            "initial_value",
-        ]:
-            raise ValueError("bulk-load CSV must start with header id,class,initial_value")
-        for row in reader:
-            if not row or not row[0].strip():
-                continue
-            item_id = row[0].strip()
-            cc_class = CCClass(row[1].strip().upper())
-            value: float = float(row[2])
-            if value.is_integer():
-                value = int(value)
-            lower = float(row[3]) if len(row) > 3 and row[3].strip() else None
-            upper = float(row[4]) if len(row) > 4 and row[4].strip() else None
-            constraint = None
-            if lower is not None or upper is not None:
-                constraint = Constraint(lower=lower, upper=upper)
-            store.create_item(item_id, value, cc_class, constraint)
-            count += 1
-    return count

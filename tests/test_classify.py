@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from adaptivecc.classify import (
+    MANIFEST_COLUMNS,
     AccessProperties,
     SemanticProperties,
     Stage1,
@@ -146,6 +147,20 @@ def test_manifest_roundtrip():
         "Account.credit,R",
         "Item.price,O",
     ]
+
+
+@pytest.mark.parametrize(
+    "row, classified",
+    [
+        ("x,1,0,0,1", "P"),  # the semantic cells left out
+        ("x,1,0,0,1,,", "P"),  # ... or left blank
+        ("x,0,1,0,1,1,1,1,,,1,extra", "E"),  # all six, some blank; cells past the 11th ignored
+    ],
+)
+def test_manifest_rows_may_leave_out_blank_or_surplus_cells(row, classified):
+    out = io.StringIO()
+    assert classify_manifest(io.StringIO(f"{','.join(MANIFEST_COLUMNS)}\n{row}\n"), out) == 1
+    assert out.getvalue().splitlines()[1] == f"x,{classified}"
 
 
 def test_manifest_rejects_bad_header():

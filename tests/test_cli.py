@@ -262,6 +262,12 @@ def test_classify_exits_2_on_a_malformed_manifest(tmp_path, capsys):
     assert main(["classify", "--manifest", str(manifest)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "manifest header" in err
+    # too few access cells, and some but not all of the semantic cells
+    for row in ("x,1,0", "x,0,1,0,1,1", "x,0,1,0,1,1,1,1,1,1"):
+        manifest.write_text(f"id,mr,fw,un,ow,con,num,com,dep,in,gua\n{row}\n")
+        assert main(["classify", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "line 2 (x)" in err and "Traceback" not in err
 
 
 def test_outputs_that_cannot_be_written_exit_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -173,6 +174,28 @@ def test_escrow_write_requires_matching_reservation():
     engine.disconnect(txn)
     with pytest.raises(IntentError):
         engine.submit_write_set(txn, {"stock": WriteIntent.delta(-6)})
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cc_class", [CCClass.R, CCClass.E])
+def test_a_non_finite_delta_is_refused(cc_class, delta):
+    # R and E items do arithmetic on their value: from one NaN or infinite
+    # delta every later value is NaN or infinite, constraint or none.
+    engine, _ = make_engine([("x", 5, cc_class)])
+    txn = engine.begin()
+    if cc_class is CCClass.E:
+        with pytest.raises(IntentError, match="finite"):
+            engine.read_escrow(txn, "x", delta)
+        assert engine.escrow.granted_delta("x", txn.txn_id) is None  # nothing reserved
+        assert engine.read_escrow(txn, "x", 1).granted
+    else:
+        engine.read(txn, "x")
+    engine.disconnect(txn)
+    with pytest.raises(IntentError, match="finite"):
+        engine.submit_write_set(txn, {"x": WriteIntent.delta(delta)})
+    engine.submit_write_set(txn, {"x": WriteIntent.delta(1)})  # the txn lives on
+    assert engine.commit_pipeline(txn) == (Phase.COMMITTED, None)
+    assert engine.store.read_committed("x") == (6, 2)
 
 
 def test_empty_write_set_degenerates_to_read_only_commit():

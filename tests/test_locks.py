@@ -9,6 +9,20 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from adaptivecc.locks import AcquireStatus, Grant, LockError, LockManager
 
 
+def wfg_edges(lm):
+    """Waits-for edges: each waiter waits for the holder and everyone
+    queued ahead of it (FIFO order makes those effective predecessors)."""
+    edges = set()
+    for item_id, queue in lm._queues.items():
+        holder = lm._holders.get(item_id)
+        ahead = [holder] if holder is not None else []
+        for waiter in queue:
+            for blocker in ahead:
+                edges.add((waiter, blocker))
+            ahead.append(waiter)
+    return edges
+
+
 def wfg_has_cycle(edges):
     """Independent cycle oracle: plain DFS over an edge set."""
     adjacency = {}
@@ -42,7 +56,7 @@ def test_acquire_held_item_queues_fifo():
     assert lm.acquire(2, "x") is AcquireStatus.QUEUED
     assert lm.acquire(3, "x") is AcquireStatus.QUEUED
     assert lm.queue("x") == (2, 3)
-    assert (2, 1) in lm.wfg_edges()
+    assert (2, 1) in wfg_edges(lm)
 
 
 def test_reentrant_acquire_granted():
@@ -59,7 +73,7 @@ def test_two_txn_cycle_refused():
     assert lm.acquire(1, "y") is AcquireStatus.QUEUED
     assert lm.acquire(2, "x") is AcquireStatus.DEADLOCK_REFUSED
     assert lm.queue("x") == ()
-    assert not wfg_has_cycle(lm.wfg_edges())
+    assert not wfg_has_cycle(wfg_edges(lm))
 
 
 def test_three_txn_cycle_refused():
@@ -167,7 +181,7 @@ def test_wfg_acyclic_after_random_ops():
                 held.setdefault(grant.txn_id, set()).add(grant.item_id)
                 waiting.pop(grant.txn_id, None)
             del snap_holders
-        assert not wfg_has_cycle(lm.wfg_edges()), f"cycle after step {step}"
+        assert not wfg_has_cycle(wfg_edges(lm)), f"cycle after step {step}"
     # liveness: terminate everyone, every lock must clear
     for txn in range(8):
         lm.release_all(txn)
@@ -182,7 +196,7 @@ def oracle_would_deadlock(lm, txn_id, item_id):
     the holder and every queued txn; a cycle appears iff one of those can
     already reach txn_id in the waits-for graph."""
     adjacency = {}
-    for waiter, blocker in lm.wfg_edges():
+    for waiter, blocker in wfg_edges(lm):
         adjacency.setdefault(waiter, set()).add(blocker)
     stack = [lm.holder(item_id), *lm.queue(item_id)]
     seen = set()
@@ -274,7 +288,7 @@ class LockWalkMachine(RuleBasedStateMachine):
 
     @invariant()
     def wfg_acyclic(self):
-        assert not wfg_has_cycle(self.lm.wfg_edges())
+        assert not wfg_has_cycle(wfg_edges(self.lm))
 
 
 TestLockWalkMachine = LockWalkMachine.TestCase

@@ -31,21 +31,25 @@ def test_every_public_name_resolves():
 
 
 def test_single_threaded_layers_import_no_threading():
-    # One threading story: every layer runs on one thread, driven by the one
-    # discrete-event loop; only the Store keeps a mutex.
+    # One threading story: every module runs on one thread, driven by the one
+    # discrete-event loop on a virtual clock.  No module imports threading,
+    # and none calls time.sleep, so a wall-clock pacer cannot come back.
     package = Path(adaptivecc.__file__).resolve().parent
-    modules = sorted(path.stem for path in package.glob("*.py") if path.stem != "store")
-    assert {"engine", "locks", "semantic", "simclock", "harness", "cli"} <= set(modules)
+    modules = sorted(path.stem for path in package.glob("*.py"))
+    assert {"engine", "locks", "semantic", "simclock", "harness", "cli", "store"} <= set(modules)
     for module in modules:
         tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+            elif isinstance(node, ast.ImportFrom):  # `from time import sleep` is time.sleep
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
             else:
                 continue
             assert all(name.split(".")[0] != "threading" for name in names), module
+            assert "time.sleep" not in names, f"{module}:{node.lineno} uses time.sleep"
 
 
 # The modules a replay runs.  classify and cli run once per command, so an

@@ -12,7 +12,6 @@ from adaptivecc.store import (
     Store,
     UnknownItemError,
     VersionMismatchError,
-    load_items_csv,
 )
 
 
@@ -122,21 +121,6 @@ def test_constraint_interval_validation():
     assert strict.satisfied(0.001)
 
 
-def test_bulk_load_csv(tmp_path):
-    path = tmp_path / "items.csv"
-    path.write_text(
-        "id,class,initial_value,lower,upper\n"
-        "stock,E,10,0,\n"
-        "price,O,99,,\n"
-        "balance,R,5,0,100\n"
-    )
-    store = Store()
-    assert load_items_csv(store, str(path)) == 3
-    assert store.item("stock").current_class is CCClass.E
-    assert store.item("price").constraint is None
-    assert store.item("balance").constraint.upper == 100
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("cc_class", [CCClass.R, CCClass.E])
 def test_semantic_items_refuse_a_non_finite_value(cc_class, value):
@@ -154,54 +138,6 @@ def test_constraint_refuses_a_nan_bound(bounds):
     with pytest.raises(ValueError, match="NaN"):
         Constraint(**bounds)
     assert Constraint(lower=-math.inf, upper=math.inf).satisfied(0)
-
-
-@pytest.mark.parametrize(
-    "row, error", [("stock,E,nan", "finite"), ("bal,R,inf", "finite"), ("x,R,1,,nan", "NaN")]
-)
-def test_bulk_load_refuses_non_finite_values(tmp_path, row, error):
-    path = tmp_path / "items.csv"
-    path.write_text(f"id,class,initial_value,lower,upper\n{row}\n")
-    with pytest.raises(ValueError, match=error):
-        load_items_csv(Store(), str(path))
-
-
-def test_bulk_load_requires_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("stock,E,10\n")
-    with pytest.raises(ValueError):
-        load_items_csv(Store(), str(path))
-
-
-def test_store_safe_under_concurrent_sessions():
-    import threading
-
-    store = Store()
-    for k in range(4):
-        store.create_item(f"i{k}", 0, CCClass.O)
-    store.create_item("shared", 0, CCClass.R)
-    errors = []
-
-    def hammer(k):
-        try:
-            for _ in range(200):
-                value, version = store.read_committed(f"i{k}")
-                store.install_version(f"i{k}", value + 1, expected_version=version)
-                store.install_version("shared", store.read_committed("shared")[0] + 1)
-        except Exception as exc:  # pragma: no cover - only on race
-            errors.append(exc)
-
-    threads = [threading.Thread(target=hammer, args=(k,)) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
-    for k in range(4):
-        assert store.read_committed(f"i{k}") == (200, 201)
-    # the shared counter saw interleaved read-modify-write without a lock,
-    # so its value may lag, but its version ticked once per install
-    assert store.read_committed("shared")[1] == 801
 
 
 def test_class_formats_as_its_letter():
