@@ -19,7 +19,6 @@ from .adaptation import (
     compute_cr_eff,
     cost_tradeoff,
     estimate_rt,
-    poisson_pmf,
 )
 from .classify import (
     AccessProperties,
@@ -104,7 +103,6 @@ __all__ = [
     "find_cycle",
     "overload_adaptation_scenario",
     "poisson_arrivals",
-    "poisson_pmf",
     "reconcile_commit",
     "run_experiment",
     "summarize",

@@ -134,15 +134,6 @@ def estimate_rt(mean_st: float, queue_len: int, current_class: CCClass) -> float
     return mean_st * (queue_len + 1)
 
 
-def poisson_pmf(lam: float, k: int) -> float:
-    """P[X = k] for a Poisson arrival count, evaluated in log space."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if k < 0 or int(k) != k:
-        raise ValueError("k must be a non-negative integer")
-    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
-
-
 def cost_tradeoff(
     model: CostModel, cr: float, frac_sla_violating: float, tas: float
 ) -> tuple[float, float]:
@@ -180,9 +171,6 @@ class Controller:
         self.states: dict[str, ItemState] = {
             item.id: ItemState() for item in store.items() if item.adaptable
         }
-
-    def state(self, item_id: str) -> ItemState:
-        return self.states[item_id]
 
     def current_class(self, item_id: str) -> CCClass:
         return self.store.item(item_id).current_class

@@ -29,6 +29,7 @@ exit 1 of ``sg-check`` means a cycle and nothing else.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -181,6 +182,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     try:
         with open(args.manifest, encoding="utf-8") as infile:
+            # opening --out for writing would empty the manifest before it is read
+            if args.out and os.path.exists(args.out) and os.path.samefile(args.manifest, args.out):
+                print(f"classify {args.manifest}: --out names the manifest", file=sys.stderr)
+                return 2
             if args.out:
                 with open(args.out, "w", newline="", encoding="utf-8") as outfile:
                     count = classify_manifest(infile, outfile)

@@ -19,14 +19,15 @@ control).  Continuations must not re-enter the engine synchronously;
 schedule follow-up work instead.  Submissions and commits complete within
 the calling event.  Termination fans out to registered sinks, which is
 where the adaptation controller and metrics collection hook in.  A
-termination passes every released lock on and wakes every new holder, then
-runs every sink, even when a continuation or an earlier sink raises; the
-first error is re-raised once all have run.
+termination passes every released lock on and wakes every new holder that
+is still active, then runs every sink, even when a continuation or an
+earlier sink raises; the first error is re-raised once all have run.
 
 The engine is single-threaded: the engine, its store, its lock manager and
 its escrow ledger take no locks, and all calls into one engine must come
 from one thread (the harness drives it from one discrete-event loop on a
-virtual clock).
+virtual clock).  The engine has no clock of its own: every stamp it makes
+is read from the clock its caller passes in.
 
 The records the engine hands out (read outcomes, read records, write
 intents, termination records, trace rows) are immutable ``NamedTuple``s:
@@ -59,13 +60,14 @@ read-only transaction is not conflict-ordered against updaters.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from functools import partial
+from itertools import chain
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import sg
-from .locks import AcquireStatus, LockManager
+from .locks import AcquireStatus, Grant, LockManager
 from .semantic import EscrowLedger, reconcile_check, reconcile_commit
 from .store import CCClass, ConstraintViolationError, Store, VersionedItem
 
@@ -220,18 +222,31 @@ class TerminationRecord(NamedTuple):
         return min(int(self.service_ms), self.response_time_ms)
 
 
-def _wall_clock_ms(_start=time.monotonic()) -> float:
-    return (time.monotonic() - _start) * 1000.0
+def _call_each(calls: Iterable[Callable[..., object]], *args: Any) -> None:
+    """Call each of ``calls`` with ``args`` in order, also past one that
+    raises; the first error is re-raised once all have run."""
+    error: Optional[Exception] = None
+    for call in calls:
+        try:
+            call(*args)
+        except Exception as exc:
+            if error is None:
+                error = exc
+    if error is not None:
+        raise error
 
 
 class Engine:
-    """Transaction engine over a Store; one instance per store."""
+    """Transaction engine over a Store; one instance per store.
 
-    def __init__(self, store: Store, clock: Optional[Callable[[], float]] = None) -> None:
+    ``clock`` returns the current time in milliseconds.
+    """
+
+    def __init__(self, store: Store, clock: Callable[[], float]) -> None:
         self.store = store
         self.locks = LockManager()
         self.escrow = EscrowLedger(store)
-        self.clock = clock or _wall_clock_ms
+        self.clock = clock
         self.trace: list[sg.ScheduleEvent] = []
         self.termination_sinks: list[Callable[[TerminationRecord], None]] = []
         self._next_txn_id = 1
@@ -480,35 +495,27 @@ class Engine:
             txn.service_ms,
         ))
         # A raising continuation or sink stops neither the other grants nor
-        # the other sinks; the first error surfaces once all have run.
-        error: Optional[Exception] = None
-        for grant in grants:
-            try:
-                self._complete_grant(grant.item_id, grant.txn_id)
-            except Exception as exc:
-                if error is None:
-                    error = exc
-        for sink in self.termination_sinks:
-            try:
-                sink(record)
-            except Exception as exc:
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
+        # the other sinks.  Most terminations hand no lock over; their sinks
+        # are called with the record, with no call object made per sink.
+        if grants:
+            complete = self._complete_grant
+            _call_each(chain(
+                [partial(complete, grant) for grant in grants],
+                (partial(sink, record) for sink in self.termination_sinks),
+            ))
+        else:
+            _call_each(self.termination_sinks, record)
 
-    def _complete_grant(self, item_id: str, txn_id: int) -> None:
-        txn = self._active.get(txn_id)
-        while txn is None or txn.phase is not _PHASE_READING or txn.waiting_on != item_id:
-            # The waiter died between queueing and grant; pass the lock on.
-            grant = self.locks.release(txn_id, item_id)
-            if grant is None:
-                return
-            txn_id = grant.txn_id
-            txn = self._active.get(txn_id)
-        lock = (int(self.clock()), txn.txn_id, sg.LOCK, item_id, "P")
+    def _complete_grant(self, grant: Grant) -> None:
+        txn = self._active.get(grant.txn_id)
+        if txn is None:
+            # An earlier continuation of this hand-over aborted the grantee
+            # after release_all made it the holder; its own termination has
+            # already passed the lock on.
+            return
+        lock = (int(self.clock()), txn.txn_id, sg.LOCK, grant.item_id, "P")
         self.trace.append(_new(sg.ScheduleEvent, lock))
-        self._wake(txn, item_id)
+        self._wake(txn, grant.item_id)
 
     def _wake(self, txn: Txn, item_id: str) -> None:
         """Complete the read a queued transaction waits on and resume it."""
@@ -534,14 +541,11 @@ class Engine:
         was = item.current_class
         self.store.set_current_class(item_id, to_class)
         if was is _CLASS_P and to_class is _CLASS_O:
-            error: Optional[Exception] = None
-            for txn_id in self.locks.drain_queue(item_id):
-                txn = self._active.get(txn_id)
+            active = self._active
+
+            def wake(txn_id: int) -> None:
+                txn = active.get(txn_id)
                 if txn is not None and txn.waiting_on == item_id:
-                    try:
-                        self._wake(txn, item_id)
-                    except Exception as exc:
-                        if error is None:
-                            error = exc
-            if error is not None:
-                raise error
+                    self._wake(txn, item_id)
+
+            _call_each(partial(wake, txn_id) for txn_id in self.locks.drain_queue(item_id))

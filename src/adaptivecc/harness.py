@@ -461,7 +461,7 @@ class ExperimentRunner:
         timeseries = metrics.aggregate(
             self.events, self.tw_ms, samples=self._samples, arrivals=self.arrivals
         )
-        summary = metrics.summarize(self.events, elapsed, self.tw_ms, timeseries)
+        summary = metrics.summarize(self.events, elapsed, timeseries)
         result = ExperimentResult(
             profile=self.profile,
             events=self.events,

@@ -164,21 +164,17 @@ def aggregate(
 def summarize(
     events: Iterable[TerminationRecord],
     elapsed_ms: float,
-    tw_ms: float = 100.0,
-    series: Optional[Sequence[TimeWindowRow]] = None,
+    series: Sequence[TimeWindowRow],
 ) -> Summary:
     """Whole-run summary.
 
     mean/std of the commit rate are taken over the time-window series
-    (population standard deviation, for determinism on short runs); the
-    effective commit rate is the overall committed/terminated ratio.
-    ``series`` is ``aggregate(events, tw_ms)`` when the caller has it
-    already (its commit rates do not depend on the samples or arrivals).
-    With ``series`` given, the records are read in one pass.
+    ``series``, which is ``aggregate(events, tw_ms)`` (its commit rates do
+    not depend on the samples or arrivals), with the population standard
+    deviation, for determinism on short runs; the effective commit rate is
+    the overall committed/terminated ratio.  The records are read in one
+    pass.
     """
-    if series is None:
-        events = list(events)
-        series = aggregate(events, tw_ms)
     # One pass over the records, through their integer views (computed
     # inline: no property call per record).  The sums are of ints, so they
     # are exact, and the mean is the one fmean takes over the same ints.

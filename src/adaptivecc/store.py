@@ -127,8 +127,9 @@ class Store:
         cc_class: CCClass,
         constraint: Optional[Constraint] = None,
     ) -> VersionedItem:
-        if not item_id:
-            raise ValueError("item id must be non-empty")
+        if not item_id or ";" in item_id:
+            # ';' separates the entries of terminations.csv's items cell
+            raise ValueError(f"item id {item_id!r} must be non-empty and hold no ';'")
         if item_id in self._items:
             raise DuplicateItemError(item_id)
         if cc_class in (_CLASS_R, _CLASS_E) and (

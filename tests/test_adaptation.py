@@ -14,7 +14,6 @@ from adaptivecc.adaptation import (
     compute_cr_eff,
     cost_tradeoff,
     estimate_rt,
-    poisson_pmf,
 )
 from adaptivecc.engine import AbortReason, TerminationRecord
 from adaptivecc.store import CCClass, Store
@@ -72,17 +71,6 @@ def test_estimate_rt_examples():
     assert estimate_rt(250.0, 9, CCClass.O) == 0.0
 
 
-def test_poisson_pmf_values():
-    assert math.isclose(poisson_pmf(1.0, 0), math.exp(-1), rel_tol=1e-12)
-    assert math.isclose(poisson_pmf(4.0, 2), 8 * math.exp(-4), rel_tol=1e-12)
-    total = sum(poisson_pmf(100.0, k) for k in range(0, 400))
-    assert abs(total - 1.0) < 1e-9
-    with pytest.raises(ValueError):
-        poisson_pmf(0.0, 1)
-    with pytest.raises(ValueError):
-        poisson_pmf(1.0, -1)
-
-
 def test_cost_tradeoff_examples():
     model = CostModel(r=1.0, p=2.0)
     ca, cp = cost_tradeoff(model, cr=0.6, frac_sla_violating=0.0, tas=100)
@@ -113,7 +101,7 @@ def test_termination_counting_by_reason():
     controller.on_txn_termination(record(outcome="commit"))
     controller.on_txn_termination(record(outcome="abort", reason=AbortReason.RECLASSIFICATION))
     controller.on_txn_termination(record(outcome="abort", reason=AbortReason.CONSTRAINT))
-    state = controller.state("x")
+    state = controller.states["x"]
     assert (state.committed, state.terminated, state.reclass_aborts) == (1, 3, 1)
 
 
@@ -146,19 +134,19 @@ def test_mean_service_time_ewma():
     store, controller, _ = make_controller(AdaptationConfig(gamma=0.8, delta=0.1))
     store.set_current_class("x", CCClass.P)
     controller.on_txn_termination(record(span=100.0, when=1.0))
-    assert controller.state("x").mean_st == 100.0  # first sample taken as-is
+    assert controller.states["x"].mean_st == 100.0  # first sample taken as-is
     controller.on_txn_termination(record(span=200.0, when=2.0))
-    assert controller.state("x").mean_st == pytest.approx(0.8 * 100 + 0.2 * 200)
+    assert controller.states["x"].mean_st == pytest.approx(0.8 * 100 + 0.2 * 200)
 
 
 # -- the switching rules ----------------------------------------------------------
 
 
 def close_with_counts(controller, committed, terminated, reclass=0, when=100.0):
-    state = controller.state("x")
+    state = controller.states["x"]
     state.committed, state.terminated, state.reclass_aborts = committed, terminated, reclass
     controller.close_window(when)
-    return controller.state("x")
+    return controller.states["x"]
 
 
 def test_basic_rule_switches_to_locking_on_low_cr():
@@ -188,7 +176,7 @@ def test_basic_rule_switches_back_on_high_cr():
 def test_barrier_rule_allows_locking_below_beta():
     config = AdaptationConfig(gamma=0.9, delta=0.05, beta=1000.0)
     store, controller, events = make_controller(config)
-    state = controller.state("x")
+    state = controller.states["x"]
     state.mean_st, state.last_queue_len = 100.0, 4  # rt_est 500 < beta
     close_with_counts(controller, committed=4, terminated=5)  # cr 0.8 < 0.85
     assert store.item("x").current_class is CCClass.P
@@ -198,7 +186,7 @@ def test_barrier_rule_allows_locking_below_beta():
 def test_barrier_gate_uses_current_rt_estimate():
     config = AdaptationConfig(gamma=0.9, delta=0.05, beta=1000.0)
     store, controller, events = make_controller(config)
-    state = controller.state("x")
+    state = controller.states["x"]
     state.mean_st, state.last_queue_len = 600.0, 4  # would be 3000 under locking
     close_with_counts(controller, committed=4, terminated=5)
     # the estimate of an optimistic item is 0 < beta, so the switch fires
@@ -209,7 +197,7 @@ def test_barrier_rule_switches_back_when_estimate_exceeds_beta():
     config = AdaptationConfig(gamma=0.9, delta=0.05, beta=1000.0)
     store, controller, events = make_controller(config)
     store.set_current_class("x", CCClass.P)
-    state = controller.state("x")
+    state = controller.states["x"]
     state.mean_st, state.last_queue_len = 300.0, 3  # rt_est 1200 > beta
     close_with_counts(controller, committed=4, terminated=5)  # cr 0.8 < 0.85
     assert store.item("x").current_class is CCClass.O
@@ -235,7 +223,7 @@ def test_rule_exclusivity_at_most_one_clause():
                 store, controller, events = make_controller(config)
                 if cls is CCClass.P:
                     store.set_current_class("x", CCClass.P)
-                state = controller.state("x")
+                state = controller.states["x"]
                 state.mean_st, state.last_queue_len = rt, 0
                 committed = cr_times_100
                 close_with_counts(controller, committed, 100)
@@ -254,11 +242,11 @@ def test_switch_back_gate_on_queue_length():
     config = AdaptationConfig(gamma=0.8, delta=0.1, switch_back_queue_max=0)
     store, controller, events = make_controller(config)
     store.set_current_class("x", CCClass.P)
-    state = controller.state("x")
+    state = controller.states["x"]
     state.last_queue_len = 5
     close_with_counts(controller, committed=2, terminated=2)
     assert store.item("x").current_class is CCClass.P  # queue too long to leave P
-    state = controller.state("x")
+    state = controller.states["x"]
     state.last_queue_len = 0
     close_with_counts(controller, committed=2, terminated=2, when=200.0)
     assert store.item("x").current_class is CCClass.O
@@ -295,7 +283,7 @@ def test_per_termination_reclass_only_history_carries_cr():
         record(outcome="abort", reason=AbortReason.RECLASSIFICATION, when=1.0)
     )
     # the only termination is excluded from the denominator: carry the start value
-    assert controller.state("x").cr == 1.0
+    assert controller.states["x"].cr == 1.0
 
 
 def test_commit_rate_is_tracked_per_item():
@@ -332,5 +320,5 @@ def test_txn_touching_both_items_counts_for_both():
         queue_snapshots={},
     )
     controller.on_txn_termination(rec)
-    assert controller.state("a").terminated == 1
-    assert controller.state("b").terminated == 1
+    assert controller.states["a"].terminated == 1
+    assert controller.states["b"].terminated == 1

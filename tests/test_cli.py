@@ -132,6 +132,19 @@ def test_classify_command(tmp_path, capsys):
     assert out.read_text().splitlines() == ["id,class", "Stock.quantity,E"]
 
 
+def test_classify_refuses_to_write_over_its_manifest(tmp_path, capsys):
+    text = "id,mr,fw,un,ow,con,num,com,dep,in,gua\nStock.quantity,0,1,0,1,1,1,1,1,0,1\n"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(text)
+    link = tmp_path / "link.csv"
+    os.link(manifest, link)
+    for out in (manifest, link, tmp_path / "." / "manifest.csv"):
+        assert main(["classify", "--manifest", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--out names the manifest" in err
+        assert manifest.read_text() == text
+
+
 def test_sg_check_detects_cycles(tmp_path, capsys):
     good = tmp_path / "good.csv"
     with open(good, "w", newline="") as fh:

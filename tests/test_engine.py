@@ -507,15 +507,30 @@ def test_read_while_waiting_rejected():
     assert engine.locks.queue("x") == (waiter.txn_id,)
 
 
-def test_abort_passes_lock_through_deep_queue_of_dead_waiters():
-    engine, _ = make_engine([("x", 0, CCClass.P)])
-    holder = engine.begin()
-    engine.read(holder, "x")
-    for fake_id in range(10_000, 13_000):  # never begun, so never active
-        assert engine.locks.acquire(fake_id, "x") is AcquireStatus.QUEUED
-    engine.abort(holder)
-    assert engine.locks.holder("x") is None
-    assert engine.locks.queue_len("x") == 0
+def test_hand_over_skips_a_grantee_an_earlier_continuation_aborted():
+    # h holds x and y; a waits on x, b on y, c on y behind b.  Releasing h
+    # makes a and b the holders; a's continuation aborts b, whose own
+    # termination passes y on to c before h's hand-over reaches b.
+    engine, _ = make_engine([("x", 0, CCClass.P), ("y", 0, CCClass.P)])
+    terminated = []
+    engine.termination_sinks.append(lambda record: terminated.append(record.txn_id))
+    h, a, b, c = (engine.begin() for _ in range(4))
+    engine.read(h, "x")
+    engine.read(h, "y")
+    woken = []
+    assert engine.read(a, "x", on_complete=lambda _o: engine.abort(b)).status is ReadStatus.WAITING
+    assert engine.read(b, "y", on_complete=woken.append).status is ReadStatus.WAITING
+    assert engine.read(c, "y", on_complete=woken.append).status is ReadStatus.WAITING
+    engine.abort(h)
+    assert engine.locks.holder("x") == a.txn_id
+    assert engine.locks.holder("y") == c.txn_id
+    assert engine.locks.queue_len("y") == 0
+    assert [o.status for o in woken] == [ReadStatus.DONE]  # c, once; b never
+    assert c.waiting_on is None and "y" in c.read_set
+    assert b.phase is Phase.ABORTED
+    assert terminated == [b.txn_id, h.txn_id]  # b once, inside h's hand-over
+    locks = [(e.txn_id, e.item) for e in engine.trace if e.op == "l"]
+    assert locks == [(h.txn_id, "x"), (h.txn_id, "y"), (a.txn_id, "x"), (c.txn_id, "y")]
 
 
 # -- termination sinks that raise ----------------------------------------------

@@ -33,7 +33,8 @@ def test_every_public_name_resolves():
 def test_single_threaded_layers_import_no_threading():
     # One threading story: every module runs on one thread, driven by the one
     # discrete-event loop on a virtual clock.  No module imports threading,
-    # and none calls time.sleep, so a wall-clock pacer cannot come back.
+    # and none imports time or calls time.sleep, so neither a wall-clock
+    # pacer nor a wall-clock stamp can come back.
     package = Path(adaptivecc.__file__).resolve().parent
     modules = sorted(path.stem for path in package.glob("*.py"))
     assert {"engine", "locks", "semantic", "simclock", "harness", "cli", "store"} <= set(modules)
@@ -49,6 +50,10 @@ def test_single_threaded_layers_import_no_threading():
             else:
                 continue
             assert all(name.split(".")[0] != "threading" for name in names), module
+            if not isinstance(node, ast.Attribute):
+                assert all(name.split(".")[0] != "time" for name in names), (
+                    f"{module}:{node.lineno} imports time"
+                )
             assert "time.sleep" not in names, f"{module}:{node.lineno} uses time.sleep"
 
 

@@ -144,3 +144,14 @@ def test_class_formats_as_its_letter():
     # The engine writes f"v{version}@{cls}" into every traced read and write.
     assert [f"@{cls}" for cls in CCClass] == ["@O", "@R", "@P", "@E"]
     assert f"{CCClass.P:>3}|{CCClass.E!s}|{CCClass.O!r}" == "  P|E|<CCClass.O: 'O'>"
+
+
+@pytest.mark.parametrize("item_id", ["x;y", "p@O;q"])
+def test_item_ids_refuse_the_items_cell_separator(item_id):
+    # ';' separates the entries of terminations.csv's items cell: a log
+    # naming "x;y" could not be read back, and "p@O;q" would read back as
+    # the two items p and q.
+    store = Store()
+    with pytest.raises(ValueError, match="';'"):
+        store.create_item(item_id, 0, CCClass.O)
+    assert list(store.items()) == []
