@@ -498,9 +498,8 @@ class Engine:
         # the other sinks.  Most terminations hand no lock over; their sinks
         # are called with the record, with no call object made per sink.
         if grants:
-            complete = self._complete_grant
             _call_each(chain(
-                [partial(complete, grant) for grant in grants],
+                [partial(self._complete_grant, grant) for grant in grants],
                 (partial(sink, record) for sink in self.termination_sinks),
             ))
         else:
@@ -541,10 +540,8 @@ class Engine:
         was = item.current_class
         self.store.set_current_class(item_id, to_class)
         if was is _CLASS_P and to_class is _CLASS_O:
-            active = self._active
-
             def wake(txn_id: int) -> None:
-                txn = active.get(txn_id)
+                txn = self._active.get(txn_id)
                 if txn is not None and txn.waiting_on == item_id:
                     self._wake(txn, item_id)
 
