@@ -62,8 +62,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
-from itertools import chain
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from . import sg
@@ -222,18 +220,18 @@ class TerminationRecord(NamedTuple):
         return min(int(self.service_ms), self.response_time_ms)
 
 
-def _call_each(calls: Iterable[Callable[..., object]], *args: Any) -> None:
-    """Call each of ``calls`` with ``args`` in order, also past one that
-    raises; the first error is re-raised once all have run."""
-    error: Optional[Exception] = None
-    for call in calls:
+def _first_error(
+    call: Callable[[Any], object], args: Iterable[Any], error: Optional[Exception] = None
+) -> Optional[Exception]:
+    """Call ``call(arg)`` for each of ``args`` in order, also past one that
+    raises; return ``error`` if one is given, else the first error raised."""
+    for arg in args:
         try:
-            call(*args)
+            call(arg)
         except Exception as exc:
             if error is None:
                 error = exc
-    if error is not None:
-        raise error
+    return error
 
 
 class Engine:
@@ -495,15 +493,11 @@ class Engine:
             txn.service_ms,
         ))
         # A raising continuation or sink stops neither the other grants nor
-        # the other sinks.  Most terminations hand no lock over; their sinks
-        # are called with the record, with no call object made per sink.
-        if grants:
-            _call_each(chain(
-                [partial(self._complete_grant, grant) for grant in grants],
-                (partial(sink, record) for sink in self.termination_sinks),
-            ))
-        else:
-            _call_each(self.termination_sinks, record)
+        # the other sinks; the first error surfaces once all have run.
+        error = _first_error(self._complete_grant, grants)
+        error = _first_error(lambda sink: sink(record), self.termination_sinks, error)
+        if error is not None:
+            raise error
 
     def _complete_grant(self, grant: Grant) -> None:
         txn = self._active.get(grant.txn_id)
@@ -545,4 +539,6 @@ class Engine:
                 if txn is not None and txn.waiting_on == item_id:
                     self._wake(txn, item_id)
 
-            _call_each(partial(wake, txn_id) for txn_id in self.locks.drain_queue(item_id))
+            error = _first_error(wake, self.locks.drain_queue(item_id))
+            if error is not None:
+                raise error
