@@ -52,6 +52,21 @@ value as ``_value_`` rather than through the ``value`` property.
 ``tests/test_packaging.py`` finds any ``Enum.MEMBER`` load left in a
 function body of those modules.
 
+Trace rows and termination records share their immutable cells, so a
+replay keeps one object per distinct value rather than one per row (the
+flyweight pattern).  Each read or write row's ``v<version>@<class>`` tag is
+formatted and interned once per item version and class: a write makes a
+new version and formats its tag, and the engine keeps each item's last tag
+for the reads that follow, checking its version and class on every read.
+A termination record's ``items`` tuple is shared by every record with the
+same read set (item ids in read order and the classes read under), and its
+``queue_snapshots`` tuple by every record with the same value.  The tag
+cache holds one entry per item; the record caches one entry per distinct
+read set and per distinct snapshot, which the store's items and their lock
+queues bound, not the number of transactions.  The lookups key on item ids,
+class letters and queue lengths, never on a ``CCClass`` (its ``__hash__``
+is Python-level).
+
 Read-only transactions never lock or reserve and always commit; each of
 their reads is served from the latest committed state, so a multi-item
 read-only transaction is not conflict-ordered against updaters.
@@ -60,6 +75,7 @@ read-only transaction is not conflict-ordered against updaters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, NamedTuple, Optional
@@ -70,6 +86,7 @@ from .semantic import EscrowLedger, reconcile_check, reconcile_commit
 from .store import CCClass, ConstraintViolationError, Store, VersionedItem
 
 _new = tuple.__new__  # _new(Cls, fields): a NamedTuple without its Python-level __new__
+_intern = sys.intern
 # enum members, bound once (see the module docstring)
 _CLASS_O, _CLASS_R, _CLASS_P, _CLASS_E = CCClass.O, CCClass.R, CCClass.P, CCClass.E
 _ACQUIRE_QUEUED, _ACQUIRE_DEADLOCK_REFUSED = AcquireStatus.QUEUED, AcquireStatus.DEADLOCK_REFUSED
@@ -249,6 +266,11 @@ class Engine:
         self.termination_sinks: list[Callable[[TerminationRecord], None]] = []
         self._next_txn_id = 1
         self._active: dict[int, Txn] = {}
+        # shared cells (see the module docstring); item id -> (version, class, tag)
+        self._tags: dict[str, tuple[int, CCClass, str]] = {}
+        # (item ids..., class letters...) of a read set -> its items tuple
+        self._items_tuples: dict[tuple[str, ...], tuple[tuple[str, CCClass], ...]] = {}
+        self._snapshots: dict[tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]] = {}
 
     # -- admission -----------------------------------------------------------
 
@@ -326,9 +348,12 @@ class Engine:
         txn.read_set[item.id] = _new(ReadRecord, (value, version, cls))
         if txn.first_read_ms is None:
             txn.first_read_ms = now
-        # _value_ is the member's value, read without the .value property
-        row = (int(now), txn.txn_id, sg.READ, item.id, f"v{version}@{cls._value_}")
-        self.trace.append(_new(sg.ScheduleEvent, row))
+        entry = self._tags.get(item.id)
+        if entry is not None and entry[0] == version and entry[1] is cls:
+            tag = entry[2]
+        else:
+            tag = self._new_tag(item.id, version, cls)
+        self.trace.append(_new(sg.ScheduleEvent, (int(now), txn.txn_id, sg.READ, item.id, tag)))
         return _new(ReadOutcome, (_READ_DONE, value, version, granted, None))
 
     def disconnect(self, txn: Txn) -> None:
@@ -452,8 +477,19 @@ class Engine:
                 self.store.install_version(item_id, intent.amount, rec.version)
             else:  # P: the lock held since read time is the commit right
                 self.store.install_version(item_id, intent.amount)
-            row = (now, txn.txn_id, sg.WRITE, item_id, f"v{item.version}@{cls._value_}")
-            self.trace.append(_new(sg.ScheduleEvent, row))
+            # every install makes a new version, so a write's tag is always new;
+            # it names the class at read: a flushed P holder's write says @P
+            tag = self._new_tag(item_id, item.version, cls)
+            self.trace.append(_new(sg.ScheduleEvent, (now, txn.txn_id, sg.WRITE, item_id, tag)))
+
+    def _new_tag(self, item_id: str, version: int, cls: CCClass) -> str:
+        """Format ``v<version>@<class>``, intern it (equal tags of all items are
+        one string) and keep it as the item's tag: reads reuse it while the
+        item's version and class stay."""
+        # _value_ is the member's value, read without the .value property
+        tag = _intern(f"v{version}@{cls._value_}")
+        self._tags[item_id] = (version, cls, tag)
+        return tag
 
     def abort(self, txn: Txn) -> bool:
         """Abort from any non-terminal phase; a no-op on terminated txns."""
@@ -475,10 +511,18 @@ class Engine:
         txn.waiting_on = None  # release_all withdraws the queued request
         txn._pending_cb = None
         held = self.locks.held_by(txn.txn_id)
-        snapshots = tuple((i, self.locks.queue_len(i)) for i in held)
+        snapshots = tuple([(i, self.locks.queue_len(i)) for i in held])
+        snapshots = self._snapshots.setdefault(snapshots, snapshots)
         grants = self.locks.release_all(txn.txn_id, held)
         self.escrow.release_all(txn.txn_id)
         self._active.pop(txn.txn_id, None)
+        # keyed on class letters: an Enum member hashes through a Python-level __hash__
+        read_set = txn.read_set
+        key = (*read_set, *[r.class_at_read._value_ for r in read_set.values()])
+        items = self._items_tuples.get(key)
+        if items is None:
+            items = tuple([(i, r.class_at_read) for i, r in read_set.items()])
+            self._items_tuples[key] = items
         # every field, in TerminationRecord's order
         record = _new(TerminationRecord, (
             txn.txn_id,
@@ -488,7 +532,7 @@ class Engine:
             txn.first_read_ms,
             txn.write_submit_ms,
             now,
-            tuple([(i, r.class_at_read) for i, r in txn.read_set.items()]),
+            items,
             snapshots,
             txn.service_ms,
         ))

@@ -215,11 +215,20 @@ def summarize(
 # -- CSV emission -----------------------------------------------------------
 
 
+_CLASS_BY_LETTER = {cls.value: cls for cls in CCClass}
+
+
 def _parse_items(cell: str) -> tuple[tuple[str, CCClass], ...]:
     if not cell:
         return ()
-    items = (part.rsplit("@", 1) for part in cell.split(";"))
-    return tuple((item, CCClass(letter)) for item, letter in items)
+    items = []
+    for part in cell.split(";"):
+        item, letter = part.rsplit("@", 1)
+        cls = _CLASS_BY_LETTER.get(letter)
+        if cls is None:
+            raise ValueError(f"{letter!r} is not a valid CCClass")
+        items.append((item, cls))
+    return tuple(items)
 
 
 def write_terminations_csv(events: Iterable[TerminationRecord], outfile: TextIO) -> None:
@@ -250,12 +259,16 @@ def read_terminations_csv(infile: TextIO) -> list[TerminationRecord]:
     so its integer views reproduce the row; the read-phase stamps and queue
     snapshots, which the log does not keep, are absent.  A row stamped
     before time 0, or whose outcome is neither ``commit`` nor ``abort``,
-    raises ValueError.
+    or whose service time is negative or exceeds its response time, or
+    whose items cell names an unknown class, raises ValueError.  Each
+    distinct items cell is parsed once per call, and the records that
+    share it share its tuple.
     """
     reader = csv.reader(infile)
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != TERMINATION_COLUMNS:
         raise ValueError(f"termination log header must be {','.join(TERMINATION_COLUMNS)}")
+    parsed: dict[str, tuple[tuple[str, CCClass], ...]] = {}  # items cell -> its tuple
     records = []
     for row in reader:
         if not row:
@@ -265,16 +278,21 @@ def read_terminations_csv(infile: TextIO) -> list[TerminationRecord]:
             raise ValueError(f"need time_ms >= 0 and a commit or abort outcome: {row}")
         if not 0 <= service <= response:
             raise ValueError("need response_time >= service_time >= 0")
+        txn_id = int(row[0])
+        reason = AbortReason(row[3]) if row[3] else None
+        items = parsed.get(row[6])
+        if items is None:
+            items = parsed[row[6]] = _parse_items(row[6])
         records.append(
             TerminationRecord(
-                txn_id=int(row[0]),
+                txn_id=txn_id,
                 outcome=row[2],
-                abort_reason=AbortReason(row[3]) if row[3] else None,
+                abort_reason=reason,
                 arrival_ms=time_ms - response,
                 first_read_ms=None,
                 write_submit_ms=None,
                 termination_ms=time_ms,
-                items=_parse_items(row[6]),
+                items=items,
                 queue_snapshots=(),
                 service_ms=service,
             )

@@ -265,6 +265,26 @@ def trace_rows(infile: TextIO) -> Iterator[list[str]]:
 
 def read_trace_csv(infile: TextIO) -> list[ScheduleEvent]:
     """The events of a trace CSV, parsed from ``trace_rows``: integer
-    ``time_ms`` and ``txn_id``, cells past the fifth ignored."""
+    ``time_ms`` and ``txn_id``, cells past the fifth ignored.
+
+    A wrong or missing header raises ValueError, as ``trace_rows`` does; so
+    does a ``time_ms`` or ``txn_id`` cell that is not an integer, and a row
+    of fewer than five cells raises IndexError.  Within one call, equal
+    item and detail cells are one string object and equal ``txn_id`` cells
+    one int, so those cells cost memory per distinct value, not per row: a
+    deck trace names a handful of items, and has about one distinct detail
+    per five reads and writes.
+    """
     make = ScheduleEvent._make
-    return [make((int(r[0]), int(r[1]), r[2], r[3], r[4])) for r in trace_rows(infile)]
+    cells: dict[str, str] = {}
+    share = cells.setdefault
+    txn_ids: dict[str, int] = {}
+    events = []
+    append = events.append
+    for r in trace_rows(infile):
+        time = int(r[0])
+        txn = txn_ids.get(r[1])
+        if txn is None:
+            txn = txn_ids[r[1]] = int(r[1])
+        append(make((time, txn, r[2], share(r[3], r[3]), share(r[4], r[4]))))
+    return events

@@ -1,6 +1,8 @@
+import csv
 import io
 import random
 from statistics import fmean, pstdev
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from adaptivecc.engine import AbortReason, TerminationRecord
 from adaptivecc.harness import TEMPLATE_TPCC_DECK, EpochProfile, run_experiment
 from adaptivecc.metrics import (
+    TERMINATION_COLUMNS,
     Summary,
     aggregate,
     read_terminations_csv,
@@ -324,3 +327,104 @@ def test_summarize_matches_the_multi_pass_oracle(rows, tw_ms, elapsed_ms, as_ite
     expected = oracle_summarize(events, elapsed_ms, tw_ms)
     got = summarize(iter(events) if as_iterator else events, elapsed_ms, aggregate(events, tw_ms))
     assert _bits(got) == _bits(expected)
+
+
+# -- read_terminations_csv against its parse-every-cell oracle ---------------
+
+
+def oracle_read_terminations_csv(infile):
+    """``read_terminations_csv`` parsing every row's items cell anew, with one
+    ``CCClass(letter)`` call per item, kept as the oracle of the version
+    that parses each distinct cell once."""
+    reader = csv.reader(infile)
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != TERMINATION_COLUMNS:
+        raise ValueError(f"termination log header must be {','.join(TERMINATION_COLUMNS)}")
+    records = []
+    for row in reader:
+        if not row:
+            continue
+        time_ms, response, service = int(row[1]), int(row[4]), int(row[5])
+        if time_ms < 0 or row[2] not in ("commit", "abort"):
+            raise ValueError(f"need time_ms >= 0 and a commit or abort outcome: {row}")
+        if not 0 <= service <= response:
+            raise ValueError("need response_time >= service_time >= 0")
+        if row[6]:
+            parts = (part.rsplit("@", 1) for part in row[6].split(";"))
+            items = tuple((item, CCClass(letter)) for item, letter in parts)
+        else:
+            items = ()
+        records.append(
+            TerminationRecord(
+                txn_id=int(row[0]),
+                outcome=row[2],
+                abort_reason=AbortReason(row[3]) if row[3] else None,
+                arrival_ms=time_ms - response,
+                first_read_ms=None,
+                write_submit_ms=None,
+                termination_ms=time_ms,
+                items=items,
+                queue_snapshots=(),
+                service_ms=service,
+            )
+        )
+    return records
+
+
+# Stand-ins the writer prints as an unknown class letter or abort reason.
+_UNKNOWN_CLASS = SimpleNamespace(_value_="X")
+_UNKNOWN_REASON = SimpleNamespace(_value_="bogus")
+# item ids holding the csv module's quote, separator and line breaks, and '@'
+_item_ids = st.text(st.sampled_from('xy,"\r\n@'), min_size=1, max_size=4)
+
+
+@st.composite
+def termination_files(draw):
+    """A termination log as ``write_terminations_csv`` writes it, over a few
+    read sets so that items cells repeat.  Now and then a record is one the
+    reader refuses: stamped before time 0, an unknown outcome, a negative
+    service time, an unknown class letter or abort reason."""
+    classes = st.sampled_from(list(CCClass))
+    read_sets = draw(st.lists(
+        st.lists(st.tuples(_item_ids, classes), max_size=3).map(tuple), min_size=1, max_size=3
+    ))
+    records = []
+    for txn_id in range(1, draw(st.integers(0, 20)) + 1):
+        outcome = draw(st.sampled_from(["commit", "abort"]))
+        reason = draw(st.none() | st.sampled_from(AbortReason)) if outcome == "abort" else None
+        time_ms, response = draw(st.integers(0, 1000)), draw(st.integers(0, 50))
+        service = draw(st.integers(0, response))
+        items = draw(st.sampled_from(read_sets))
+        flaw = draw(st.integers(0, 30))
+        if flaw == 1:
+            time_ms = -draw(st.integers(1, 50))
+        elif flaw == 2:
+            outcome = "bogus"
+        elif flaw == 3:
+            service = -1
+        elif flaw == 4:
+            items = items + (("z", _UNKNOWN_CLASS),)
+        elif flaw == 5:
+            reason = _UNKNOWN_REASON
+        records.append(TerminationRecord(
+            txn_id, outcome, reason, time_ms - response, None, None, time_ms, items, (), service
+        ))
+    buffer = io.StringIO(newline="")
+    write_terminations_csv(records, buffer)
+    return buffer.getvalue()
+
+
+def read_or_error(reader, text):
+    try:
+        return reader(io.StringIO(text, newline=""))
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(termination_files())
+def test_read_terminations_csv_matches_its_oracle_and_shares_items(text):
+    got = read_or_error(read_terminations_csv, text)
+    assert got == read_or_error(oracle_read_terminations_csv, text)
+    if isinstance(got, list):
+        assert len({id(r.items) for r in got}) == len({r.items for r in got})

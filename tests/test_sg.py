@@ -488,3 +488,72 @@ def test_build_memory_does_not_grow_with_lock_and_reconciled_rows(tmp_path):
         padded += noise + ops + [ev(txn, txn, "c")]
     trace = tmp_path / "trace.csv"
     assert peak_build_bytes(padded, trace) < 1.5 * peak_build_bytes(plain, trace)
+
+
+# -- read_trace_csv against its one-object-per-cell oracle -------------------
+
+
+def oracle_read_trace_csv(infile):
+    """``read_trace_csv`` with a new object for every cell of every row,
+    kept as the oracle of the version that shares repeated cells."""
+    make = ScheduleEvent._make
+    return [make((int(r[0]), int(r[1]), r[2], r[3], r[4])) for r in trace_rows(infile)]
+
+
+# item ids holding the csv module's quote, separator and line breaks, and '@'
+_item_ids = st.text(st.sampled_from('xy,"\r\n@'), min_size=1, max_size=4)
+
+
+@st.composite
+def trace_files(draw):
+    """A trace CSV as ``write_trace_csv`` writes it, rows over a few item ids
+    and versions so that cells repeat.  Now and then a row is one the reader
+    refuses (a non-integer time or txn cell, fewer than five cells), skips
+    (blank) or reads past (a sixth cell), or the header is wrong."""
+    items = draw(st.lists(_item_ids, min_size=1, max_size=3))
+    rows = []
+    for time in range(draw(st.integers(0, 30))):
+        txn, op = draw(st.integers(1, 5)), draw(st.sampled_from("rwlca"))
+        if op in "rw":
+            version, letter = draw(st.integers(1, 3)), draw(st.sampled_from("ORPEX"))
+            row = [time, txn, op, draw(st.sampled_from(items)), f"v{version}@{letter}"]
+        elif op == "l":
+            row = [time, txn, op, draw(st.sampled_from(items)), "P"]
+        else:
+            row = [time, txn, op, "", draw(st.sampled_from(["", "validation"]))]
+        flaw = draw(st.integers(0, 24))
+        if flaw == 1:
+            row[0] = "1.5"
+        elif flaw == 2:
+            row[1] = "t1"
+        elif flaw == 3:
+            row = row[: draw(st.integers(1, 4))]
+        elif flaw == 4:
+            row = []
+        elif flaw == 5:
+            row.append("extra")
+        rows.append(row)
+    buffer = io.StringIO(newline="")
+    write_trace_csv(rows, buffer)
+    text = buffer.getvalue()
+    if draw(st.integers(0, 24)) == 0:
+        text = "time_ms,txn_id,op,item\r\n" + text.split("\r\n", 1)[1]
+    return text
+
+
+def read_or_error(reader, text):
+    try:
+        return reader(io.StringIO(text, newline=""))
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(trace_files())
+def test_read_trace_csv_matches_its_oracle_and_shares_cells(text):
+    got = read_or_error(read_trace_csv, text)
+    assert got == read_or_error(oracle_read_trace_csv, text)
+    if isinstance(got, list):
+        assert all(type(event) is ScheduleEvent for event in got)
+        cells = [cell for event in got for cell in (event.item, event.detail)]
+        assert len({id(cell) for cell in cells}) == len(set(cells))
