@@ -52,20 +52,25 @@ value as ``_value_`` rather than through the ``value`` property.
 ``tests/test_packaging.py`` finds any ``Enum.MEMBER`` load left in a
 function body of those modules.
 
-Trace rows and termination records share their immutable cells, so a
-replay keeps one object per distinct value rather than one per row (the
-flyweight pattern).  Each read or write row's ``v<version>@<class>`` tag is
-formatted and interned once per item version and class: a write makes a
-new version and formats its tag, and the engine keeps each item's last tag
-for the reads that follow, checking its version and class on every read.
-A termination record's ``items`` tuple is shared by every record with the
-same read set (item ids in read order and the classes read under), and its
-``queue_snapshots`` tuple by every record with the same value.  The tag
-cache holds one entry per item; the record caches one entry per distinct
-read set and per distinct snapshot, which the store's items and their lock
-queues bound, not the number of transactions.  The lookups key on item ids,
-class letters and queue lengths, never on a ``CCClass`` (its ``__hash__``
-is Python-level).
+Trace rows and termination records share their immutable cells, so what
+a replay keeps holds one object per distinct value (per item, for tags)
+rather than one per row (the flyweight pattern).  Each read or write row's
+``v<version>@<class>`` tag is formatted once per item version and class: a
+write makes a new version and formats its tag, and the engine keeps each
+item's last tag for the reads that follow, checking its version and class
+on every read.  A termination record's ``items`` tuple is shared by every
+record with the same read set (item ids in read order and the classes read
+under), and its ``queue_snapshots`` tuple by every record with the same
+value.  The tag cache holds one entry per item; the record caches one entry
+per distinct read set and per distinct snapshot, which the store's items
+and their lock queues bound, not the number of transactions.  The lookups
+key on item ids, class letters and queue lengths, never on a ``CCClass``
+(its ``__hash__`` is Python-level).  A run that streams its trace to a file
+drops each row once it is written, so there the tag cache saves
+formatting, not memory.  Tags are not interned across items: on a streamed
+run the interpreter's table of interned strings grows to the tags alive at
+once and keeps that size, which costs more than sharing equal tags of two
+items saves.
 
 Read-only transactions never lock or reserve and always commit; each of
 their reads is served from the latest committed state, so a multi-item
@@ -75,7 +80,6 @@ read-only transaction is not conflict-ordered against updaters.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, NamedTuple, Optional
@@ -86,7 +90,6 @@ from .semantic import EscrowLedger, reconcile_check, reconcile_commit
 from .store import CCClass, ConstraintViolationError, Store, VersionedItem
 
 _new = tuple.__new__  # _new(Cls, fields): a NamedTuple without its Python-level __new__
-_intern = sys.intern
 # enum members, bound once (see the module docstring)
 _CLASS_O, _CLASS_R, _CLASS_P, _CLASS_E = CCClass.O, CCClass.R, CCClass.P, CCClass.E
 _ACQUIRE_QUEUED, _ACQUIRE_DEADLOCK_REFUSED = AcquireStatus.QUEUED, AcquireStatus.DEADLOCK_REFUSED
@@ -483,11 +486,10 @@ class Engine:
             self.trace.append(_new(sg.ScheduleEvent, (now, txn.txn_id, sg.WRITE, item_id, tag)))
 
     def _new_tag(self, item_id: str, version: int, cls: CCClass) -> str:
-        """Format ``v<version>@<class>``, intern it (equal tags of all items are
-        one string) and keep it as the item's tag: reads reuse it while the
-        item's version and class stay."""
+        """Format ``v<version>@<class>`` and keep it as the item's tag: reads
+        reuse it while the item's version and class stay."""
         # _value_ is the member's value, read without the .value property
-        tag = _intern(f"v{version}@{cls._value_}")
+        tag = f"v{version}@{cls._value_}"
         self._tags[item_id] = (version, cls, tag)
         return tag
 

@@ -27,6 +27,18 @@ an optional update delta, and the item's current class picks the
 mechanism (escrow reservation on E, delta reconciliation on R, absolute
 write under lock or validation on P/O).
 
+With an ``out_dir``, a run streams its trace: an arrival that finds at
+least ``TRACE_CHUNK_ROWS`` rows in the engine's trace list writes them in
+one ``writerows`` call and clears the list, and the rows left when the
+replay ends are written after it.  The engine still adds each row with one
+list append, and the trace costs one chunk of memory, not one row per event
+of the run.  The rows go to a part file that replaces ``trace.csv`` only
+once the replay and its aggregation have succeeded; a run that fails
+removes it, so the files already in ``out_dir`` stay as they were.
+``write_outputs`` then writes the four CSVs derived from the termination
+records, which stay in memory.  Without an ``out_dir`` the whole trace
+stays in the engine's list.
+
 A replay runs with the cyclic garbage collector paused and restores the
 caller's collector state when it ends.  This is safe because a replay
 makes no cyclic garbage: records are tuples, and the engine's clock
@@ -44,6 +56,7 @@ unreachable objects after replays run without the collector.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
 import os
@@ -70,6 +83,8 @@ TEMPLATE_SINGLE_ITEM = "single_item"
 TEMPLATE_TPCC_DECK = "tpcc_deck"
 
 HOT_ITEM = "hot"
+
+TRACE_CHUNK_ROWS = 4096  # trace rows a streamed run holds before it writes them
 
 # Seven-epoch arrival-rate profiles used by the long-transaction studies.
 W1 = (7, 14, 80, 87, 93, 100, 106)
@@ -268,9 +283,18 @@ WORKLOADS = {
 
 @dataclass
 class ExperimentResult:
+    """What one replay returns.
+
+    ``schedule`` is the run's trace: the engine's list of rows when the run
+    had no ``out_dir``; with one, an ``sg.TraceFile`` over the streamed
+    ``trace.csv``, whose ``len`` is the number of rows and whose iteration
+    reads the file back as equal ``ScheduleEvent``s.  ``events`` holds every
+    termination record in memory either way.
+    """
+
     profile: EpochProfile
     events: list[TerminationRecord]
-    schedule: list[sg.ScheduleEvent]
+    schedule: list[sg.ScheduleEvent] | sg.TraceFile
     adapt_events: list[AdaptEvent]
     timeseries: list[TimeWindowRow]
     summary: Summary
@@ -352,6 +376,8 @@ class ExperimentRunner:
         self._planned = 0
         self._escrow_items: set[str] = set()
         self._samples: list[tuple[float, float, str]] = []
+        self._trace_out: Any = None  # the trace file's writer while a run streams to it
+        self._trace_rows = 0  # rows written to it so far
         self._ran = False
 
     # -- session execution --------------------------------------------------
@@ -403,11 +429,19 @@ class ExperimentRunner:
     def _start(self, row: tuple[float, TxnTemplate, float]) -> Session:
         # An arrival: begin the txn now and hand its session to the scheduler.
         _, template, dt_ms = row
+        if self._trace_out is not None and len(self.engine.trace) >= TRACE_CHUNK_ROWS:
+            self._drain_trace()
         self.arrivals.append(self.scheduler.now_ms)
         txn = self.engine.begin(read_only=template.read_only)
         resume = self.scheduler.resume  # the continuation must not hold the runner
         session = self._session(txn, template, dt_ms, lambda outcome: resume(session, outcome))
         return session
+
+    def _drain_trace(self) -> None:
+        trace = self.engine.trace
+        self._trace_out.writerows(trace)
+        self._trace_rows += len(trace)
+        trace.clear()
 
     # -- measurement --------------------------------------------------------
 
@@ -448,8 +482,32 @@ class ExperimentRunner:
         # E is a static class: no item moves into or out of it.
         self._escrow_items = {i.id for i in self.store.items() if i.static_class is _CLASS_E}
         self.scheduler.call_later(self.tw_ms, self._boundary)
-        self.scheduler.run(sorted(plan, key=itemgetter(0)), self._start)
-        if len(self.events) < len(plan):
+        plan.sort(key=itemgetter(0))  # stable: arrivals due together stay in plan order
+        if out_dir is None:
+            self.scheduler.run(plan, self._start)
+            return self._result(self.engine.trace, None)
+        os.makedirs(out_dir, exist_ok=True)
+        trace_path = os.path.join(out_dir, "trace.csv")
+        part_path = trace_path + ".part"
+        fh = open(part_path, "w", newline="", encoding="utf-8")
+        try:
+            with fh:
+                self._trace_out = sg.trace_writer(fh)
+                self.scheduler.run(plan, self._start)
+                self._drain_trace()
+            result = self._result(sg.TraceFile(trace_path, self._trace_rows), out_dir)
+            os.replace(part_path, trace_path)
+        except BaseException:
+            with contextlib.suppress(OSError):  # the run's own error is the one to see
+                os.remove(part_path)
+            raise
+        write_outputs(result, out_dir)
+        return result
+
+    def _result(
+        self, schedule: list[sg.ScheduleEvent] | sg.TraceFile, out_dir: Optional[str]
+    ) -> ExperimentResult:
+        if len(self.events) < self._planned:
             raise RuntimeError("experiment ended with unterminated transactions")
         if not self.events:
             raise ConfigurationError("profile spawned no transactions")
@@ -462,21 +520,18 @@ class ExperimentRunner:
             self.events, self.tw_ms, samples=self._samples, arrivals=self.arrivals
         )
         summary = metrics.summarize(self.events, elapsed, timeseries)
-        result = ExperimentResult(
+        return ExperimentResult(
             profile=self.profile,
             events=self.events,
-            schedule=self.engine.trace,
+            schedule=schedule,
             adapt_events=self.adapt_events,
             timeseries=timeseries,
             summary=summary,
             arrivals=self.arrivals,
-            spawned=len(plan),
+            spawned=self._planned,
             elapsed_ms=elapsed,
             out_dir=out_dir,
         )
-        if out_dir is not None:
-            write_outputs(result, out_dir)
-        return result
 
 
 def run_experiment(
@@ -491,9 +546,10 @@ def run_experiment(
 
 
 def write_outputs(result: ExperimentResult, out_dir: str) -> None:
+    """Write the four CSVs derived from the records: ``terminations.csv``,
+    ``timeseries.csv``, ``summary.csv`` and ``adaptation.csv``.  ``trace.csv``
+    is written by the run itself, while it replays."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "trace.csv"), "w", newline="", encoding="utf-8") as fh:
-        sg.write_trace_csv(result.schedule, fh)
     with open(
         os.path.join(out_dir, "terminations.csv"), "w", newline="", encoding="utf-8"
     ) as fh:
@@ -518,7 +574,7 @@ class ScenarioResult:
     window_crs: list[float]
     adapt_events: list[AdaptEvent]
     abort_reasons: dict[int, Optional[str]]
-    schedule: list[sg.ScheduleEvent]
+    schedule: list[sg.ScheduleEvent] | sg.TraceFile  # as ExperimentResult.schedule
     events: list[TerminationRecord]
 
 

@@ -27,13 +27,18 @@ cost time but no memory.  ``find_cycle`` decides acyclicity with a Kahn pass
 over the transactions that have out-edges and searches for the cycle to
 report only when there is one.  ``ScheduleEvent`` and ``Edge`` are named
 tuples and compare equal to the plain tuples of their fields.
+
+``trace_writer`` writes the header of a trace CSV and takes its rows in as
+many chunks as the writer likes, which is how a run streams its trace;
+``TraceFile`` reads such a file back, one event at a time, each time it is
+iterated.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .store import CCClass
 
@@ -241,11 +246,17 @@ def _first_cycle(succs: dict[int, list[int]]) -> list[int]:
     raise AssertionError("a graph the Kahn pass left nodes of has a cycle")
 
 
-def write_trace_csv(events: Iterable[ScheduleEvent], outfile: TextIO) -> None:
-    """Write events as given; ``time_ms`` is already an integer stamp."""
+def trace_writer(outfile: TextIO) -> Any:
+    """A ``csv.writer`` on ``outfile`` that has written the trace header; each
+    ``writerows`` call appends events, so a trace can be written in chunks."""
     writer = csv.writer(outfile)
     writer.writerow(TRACE_COLUMNS)
-    writer.writerows(events)
+    return writer
+
+
+def write_trace_csv(events: Iterable[ScheduleEvent], outfile: TextIO) -> None:
+    """Write events as given; ``time_ms`` is already an integer stamp."""
+    trace_writer(outfile).writerows(events)
 
 
 def trace_rows(infile: TextIO) -> Iterator[list[str]]:
@@ -275,16 +286,41 @@ def read_trace_csv(infile: TextIO) -> list[ScheduleEvent]:
     deck trace names a handful of items, and has about one distinct detail
     per five reads and writes.
     """
+    return list(_events(trace_rows(infile)))
+
+
+def _events(rows: Iterable[list[str]]) -> Iterator[ScheduleEvent]:
+    # read_trace_csv's parse, one event at a time, sharing cells as it documents
     make = ScheduleEvent._make
     cells: dict[str, str] = {}
     share = cells.setdefault
     txn_ids: dict[str, int] = {}
-    events = []
-    append = events.append
-    for r in trace_rows(infile):
+    for r in rows:
         time = int(r[0])
         txn = txn_ids.get(r[1])
         if txn is None:
             txn = txn_ids[r[1]] = int(r[1])
-        append(make((time, txn, r[2], share(r[3], r[3]), share(r[4], r[4]))))
-    return events
+        yield make((time, txn, r[2], share(r[3], r[3]), share(r[4], r[4])))
+
+
+class TraceFile:
+    """A trace CSV that a run has written, read back on demand.
+
+    ``len`` is the number of rows written.  Each iteration opens the file
+    and yields its events as ``read_trace_csv`` parses them, one at a time,
+    so the events are not held in memory.  The file is read as it is at
+    that moment.
+    """
+
+    __slots__ = ("path", "_rows")
+
+    def __init__(self, path: str, rows: int) -> None:
+        self.path = path
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __iter__(self) -> Iterator[ScheduleEvent]:
+        with open(self.path, newline="", encoding="utf-8") as fh:
+            yield from _events(trace_rows(fh))

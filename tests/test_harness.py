@@ -292,9 +292,12 @@ def _deck_runner():
 
 
 @pytest.mark.parametrize(
-    "make_runner", [_deck_runner, _demo_controller_runner], ids=["deck", "controller"]
+    "make_runner, streamed",
+    [(_deck_runner, False), (_demo_controller_runner, False),
+     (_deck_runner, True), (_demo_controller_runner, True)],
+    ids=["deck", "controller", "deck_out_dir", "controller_out_dir"],
 )
-def test_deck_replay_leaves_no_cyclic_garbage(make_runner):
+def test_deck_replay_leaves_no_cyclic_garbage(make_runner, streamed, tmp_path):
     # The runner pauses the cyclic collector.  That is memory-neutral only
     # while a replay, and the runner it leaves behind, make no cycles.
     collecting = gc.isenabled()
@@ -302,8 +305,9 @@ def test_deck_replay_leaves_no_cyclic_garbage(make_runner):
     gc.disable()
     try:
         runner = make_runner()
-        result = runner.run()
+        result = runner.run(str(tmp_path) if streamed else None)
         assert result.events
+        assert len(list(result.schedule)) == len(result.schedule) > 0
         del runner, result
         assert gc.collect() == 0
     finally:

@@ -1,11 +1,14 @@
 """One object per repeated immutable cell.
 
-A replay's trace rows share their ``v<version>@<class>`` details, its
-termination records their ``items`` and ``queue_snapshots`` tuples, and
-``read_trace_csv`` its item and detail cells: every distinct value is held
-once, however many rows or records repeat it.  The engine's caches behind
+A replay's trace rows share an item's ``v<version>@<class>`` detail until
+its version or class changes, its termination records their ``items`` and
+``queue_snapshots`` tuples, and ``read_trace_csv`` its item and detail
+cells: every distinct value is held once, however many rows or records
+repeat it.  The engine's caches behind
 that are bounded by the store's items and their read sets, not by the
 length of the run, and the memory a replay keeps per transaction is bounded.
+A replay with an ``out_dir`` writes its trace rows to ``trace.csv`` as it
+goes, so it keeps and peaks at far fewer bytes per transaction.
 """
 
 import gc
@@ -26,9 +29,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Retained bytes per transaction after the seed-7 deck replay of
 # bench/deck.conf (10 545 txns), measured with tracemalloc on CPython 3.11:
-# 1844 when every row and record held its own copy of each cell, 1289 with
+# 1844 when every row and record held its own copy of each cell, 1296 with
 # the cells shared.
 RETAINED_BYTES_PER_TXN = 1500
+# The same replay with an out_dir, its trace streamed to trace.csv: 288
+# bytes retained and a 690-byte peak per txn, against 1296 and 1698 without
+# an out_dir.  What it keeps is the termination records and the arrival
+# stamps; its peak adds the plan, which lives for the whole replay.
+STREAMED_RETAINED_BYTES_PER_TXN = 500
+STREAMED_PEAK_BYTES_PER_TXN = 1000
 
 
 def one_object_per_value(cells):
@@ -40,14 +49,27 @@ def rw_details(trace):
     return [ev.detail for ev in trace if ev.op in ("r", "w")]
 
 
+def details_shared_until_they_change(trace):
+    """Each item's read and write rows hold one detail object for as long as
+    the detail's value stays the same from one of its rows to the next."""
+    last = {}
+    for ev in trace:
+        if ev.op in ("r", "w"):
+            prev = last.get(ev.item)
+            if prev == ev.detail and prev is not ev.detail:
+                return False
+            last[ev.item] = ev.detail
+    return True
+
+
 def snapshots(records):
     return [r.queue_snapshots for r in records if r.queue_snapshots]
 
 
-@pytest.fixture(scope="module")
-def deck():
+def traced_deck(out_dir=None):
     """The seed-7 replay of bench/deck.conf, traced by tracemalloc from
-    before the runner is built until the run has returned."""
+    before the runner is built until the run has returned: the runner, the
+    result, and the bytes retained at the end and at the peak."""
     values = cli.parse_config((ROOT / "bench" / "deck.conf").read_text(encoding="utf-8"))
     values["seed"] = "7"
     profile, adapt_config, kwargs = cli.build_run(values)
@@ -56,19 +78,24 @@ def deck():
     tracemalloc.start()
     try:
         runner = ExperimentRunner(profile, adapt_config, **kwargs)
-        result = runner.run()
+        result = runner.run(out_dir)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return runner, result, retained
+    return runner, result, retained, peak
+
+
+@pytest.fixture(scope="module")
+def deck():
+    return traced_deck()[:3]
 
 
 def test_deck_replay_keeps_one_object_per_distinct_cell(deck):
     runner, result, _ = deck
     details = rw_details(result.schedule)
     assert len(set(details)) < len(details) // 4  # the run repeats its tags
-    assert one_object_per_value(details)
+    assert details_shared_until_they_change(result.schedule)
     assert one_object_per_value(r.items for r in result.events)
     assert one_object_per_value(snapshots(result.events))
     engine = runner.engine
@@ -81,6 +108,13 @@ def test_deck_replay_retains_a_bounded_number_of_bytes_per_txn(deck):
     _, result, retained = deck
     assert len(result.events) == 10_545
     assert retained / len(result.events) < RETAINED_BYTES_PER_TXN
+
+
+def test_a_streamed_deck_replay_retains_and_peaks_at_few_bytes_per_txn(tmp_path):
+    _, result, retained, peak = traced_deck(str(tmp_path))
+    assert len(result.events) == 10_545
+    assert retained / len(result.events) < STREAMED_RETAINED_BYTES_PER_TXN
+    assert peak / len(result.events) < STREAMED_PEAK_BYTES_PER_TXN
 
 
 def test_read_trace_csv_shares_the_item_and_detail_cells_of_a_deck_trace(deck):
@@ -108,8 +142,7 @@ def test_micro_workloads_share_cells_and_keep_the_caches_bounded():
         run_micro_workload(seed, engine=engine, allow_reclass=True)
     assert len(records) > 1000
     assert {cls for r in records for _, cls in r.items} == {CCClass.O, CCClass.P}
-    details = rw_details(engine.trace)
-    assert one_object_per_value(details)
+    assert details_shared_until_they_change(engine.trace)
     assert one_object_per_value(r.items for r in records)
     assert one_object_per_value(snapshots(records))
     # one tag per item; one entry per distinct read set and per distinct
