@@ -14,8 +14,8 @@ denominator) and flips the item's class:
 
 Two trigger modes: TIME_WINDOW evaluates the rules over each window's
 counters when its caller invokes ``close_window`` (the controller has no
-window width of its own; an experiment closes a window every ``tw_ms`` of
-its runner); PER_TERMINATION evaluates after every termination over the
+window width of its own; an experiment closes a window at every multiple
+of its runner's ``tw_ms``); PER_TERMINATION evaluates after every termination over the
 running totals, so a burst of aborts keeps weighing the rate down until
 enough commits outgrow it.  The controller always runs outside
 transactions.

@@ -20,10 +20,10 @@ Subcommands:
   converts only the txn id of each row and keeps no row; ``sg.find_cycle``
   then decides acyclicity without sorting.
 
-``run``, ``classify`` and ``sg-check`` exit 2 with one line on stderr when
-an input or output file cannot be opened, ``classify`` also when its
-manifest does not parse, and ``sg-check`` when its trace does not; the
-exit 1 of ``sg-check`` means a cycle and nothing else.
+``run``, ``replay-scenario``, ``classify`` and ``sg-check`` exit 2 with one
+line on stderr when an input or output file cannot be opened, ``classify``
+also when its manifest does not parse, and ``sg-check`` when its trace does
+not; the exit 1 of ``sg-check`` means a cycle and nothing else.
 """
 
 from __future__ import annotations
@@ -165,7 +165,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.scenario != "fig7":
         print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
         return 2
-    result = overload_adaptation_scenario(out_dir=args.out)
+    try:
+        result = overload_adaptation_scenario(out_dir=args.out)
+    except OSError as exc:  # --out unwritable
+        print(f"replay-scenario {args.scenario}: {exc}", file=sys.stderr)
+        return 2
     print("window commit rates:", ", ".join(f"{cr:.4f}" for cr in result.window_crs))
     for ev in result.adapt_events:
         print(

@@ -27,6 +27,14 @@ an optional update delta, and the item's current class picks the
 mechanism (escrow reservation on E, delta reconciliation on R, absolute
 write under lock or validation on P/O).
 
+A timeseries row reports the run's watched item (its one adaptable item,
+if it has exactly one): its ``rt_est`` and class at the window's end.  Both
+change only in the controller, so the runner records a ``(time, rt_est,
+class)`` change point at t = 0 and, when the pair changed, after the
+controller's termination sink and after every switch.  The only scheduler
+events the runner adds are a TIME_WINDOW controller's: window k closes at
+exactly ``k * tw_ms``, where ``metrics.aggregate`` ends it.
+
 With an ``out_dir``, a run streams its trace: an arrival that finds at
 least ``TRACE_CHUNK_ROWS`` rows in the engine's trace list writes them in
 one ``writerows`` call and clears the list, and the rows left when the
@@ -49,7 +57,8 @@ because a finished generator drops its frame.  The scheduler keeps no
 reference to the plan or to ``start`` once its run returns.  Reference
 counting frees everything a replay drops, so a collector pass would only
 walk the run's live objects.  Engine and controller refer to each other
-only until the run ends, so a dropped runner is freed by reference
+only until the run ends, and so do the engine and controller hooks that
+record the change points, so a dropped runner is freed by reference
 counting too.  ``tests/test_harness.py`` pins this by finding no
 unreachable objects after replays run without the collector.
 """
@@ -68,11 +77,11 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Optional
 
 from . import metrics, sg
-from .adaptation import AdaptationConfig, AdaptEvent, Controller, Mode
+from .adaptation import AdaptationConfig, AdaptEvent, Controller, ItemState, Mode, estimate_rt
 from .engine import Engine, ReadOutcome, ReadStatus, TerminationRecord, Txn, WriteIntent
 from .metrics import Summary, TimeWindowRow
 from .simclock import Scheduler, Session
-from .store import CCClass, Constraint, Store
+from .store import CCClass, Constraint, Store, VersionedItem
 
 # bound once: see the engine module docstring
 _CLASS_O, _CLASS_R, _CLASS_P, _CLASS_E = CCClass.O, CCClass.R, CCClass.P, CCClass.E
@@ -324,7 +333,8 @@ class ExperimentRunner:
 
     ``tw_ms`` (100 ms when None; finite and > 0) is the run's one window
     width: of the timeseries, of the summary's commit-rate series and, in
-    TIME_WINDOW mode, of the controller.  ``op_cost_ms`` (finite and >= 0)
+    TIME_WINDOW mode, of the controller, whose window k closes at exactly
+    ``k * tw_ms``.  ``op_cost_ms`` (finite and >= 0)
     is the virtual time each read, and each write at submission, costs.
     """
 
@@ -368,14 +378,23 @@ class ExperimentRunner:
                 event_sink=self.adapt_events.append,
             )
             self.engine.termination_sinks.append(self.controller.on_txn_termination)
+        adaptable = [item for item in self.store.items() if item.adaptable]
+        # the watched item's (time, rt_est, class) change points, in time order
+        self._changes: list[tuple[float, float, str]] = []
+        self._watched: Optional[tuple[VersionedItem, ItemState]] = None
+        if len(adaptable) == 1:
+            watched = adaptable[0]
+            # no service time is known at t = 0, so rt_est is 0.0 in any class
+            self._changes.append((0.0, 0.0, watched.current_class._value_))
+            if self.controller is not None:
+                self._watched = watched, self.controller.states[watched.id]
+                self.engine.termination_sinks.append(self._note_change)
+                self.controller.event_sink = self._switched
         self.events: list[TerminationRecord] = []
         self.engine.termination_sinks.append(self.events.append)
-        adaptable = [item.id for item in self.store.items() if item.adaptable]
-        self._watched = adaptable[0] if len(adaptable) == 1 else None
         self.arrivals: list[float] = []
         self._planned = 0
         self._escrow_items: set[str] = set()
-        self._samples: list[tuple[float, float, str]] = []
         self._trace_out: Any = None  # the trace file's writer while a run streams to it
         self._trace_rows = 0  # rows written to it so far
         self._ran = False
@@ -445,18 +464,26 @@ class ExperimentRunner:
 
     # -- measurement --------------------------------------------------------
 
-    def _boundary(self) -> None:
-        now = self.scheduler.now_ms
-        if self.controller is not None and self.controller.config.mode is _MODE_TIME_WINDOW:
-            self.controller.close_window(now)
-        if self._watched is not None:
-            cls = self.store.item(self._watched).current_class._value_
-            rt = self.controller.rt_est(self._watched) if self.controller else 0.0
-        else:
-            cls, rt = "-", 0.0
-        self._samples.append((now, rt, cls))
+    def _note_change(self, _record: object = None) -> None:
+        # Runs after the controller's termination sink and after every
+        # switch, the only places the watched item's rt_est or class changes.
+        item, state = self._watched
+        cls = item.current_class
+        rt = estimate_rt(state.mean_st, state.last_queue_len, cls)
+        last = self._changes[-1]
+        if rt != last[1] or cls._value_ != last[2]:
+            self._changes.append((self.scheduler.now_ms, rt, cls._value_))
+
+    def _switched(self, event: AdaptEvent) -> None:
+        self.adapt_events.append(event)
+        self._note_change()
+
+    def _boundary(self, k: int) -> None:
+        # TIME_WINDOW only: close the controller's window k at k * tw_ms, the
+        # instant metrics.aggregate ends window k at.
+        self.controller.close_window(self.scheduler.now_ms)
         if len(self.events) < self._planned:  # some arrival is due or in flight
-            self.scheduler.call_later(self.tw_ms, self._boundary)
+            self.scheduler.call_at((k + 1) * self.tw_ms, partial(self._boundary, k + 1))
 
     # -- top level -----------------------------------------------------------
 
@@ -471,8 +498,11 @@ class ExperimentRunner:
         try:
             return self._run(out_dir)
         finally:
-            if self.controller is not None:  # break the engine <-> controller cycle
+            if self.controller is not None:  # break the engine <-> controller <-> runner cycles
                 self.engine.termination_sinks.remove(self.controller.on_txn_termination)
+                if self._watched is not None:
+                    self.engine.termination_sinks.remove(self._note_change)
+                    self.controller.event_sink = self.adapt_events.append
             if collecting:
                 gc.enable()
 
@@ -481,7 +511,8 @@ class ExperimentRunner:
         self._planned = len(plan)
         # E is a static class: no item moves into or out of it.
         self._escrow_items = {i.id for i in self.store.items() if i.static_class is _CLASS_E}
-        self.scheduler.call_later(self.tw_ms, self._boundary)
+        if self.controller is not None and self.controller.config.mode is _MODE_TIME_WINDOW:
+            self.scheduler.call_at(self.tw_ms, partial(self._boundary, 1))
         plan.sort(key=itemgetter(0))  # stable: arrivals due together stay in plan order
         if out_dir is None:
             self.scheduler.run(plan, self._start)
@@ -517,7 +548,7 @@ class ExperimentRunner:
             self.profile.epoch_ms * len(self.profile.lambdas),
         )
         timeseries = metrics.aggregate(
-            self.events, self.tw_ms, samples=self._samples, arrivals=self.arrivals
+            self.events, self.tw_ms, samples=self._changes, arrivals=self.arrivals
         )
         summary = metrics.summarize(self.events, elapsed, timeseries)
         return ExperimentResult(

@@ -95,11 +95,14 @@ def aggregate(
 ) -> list[TimeWindowRow]:
     """Bucket terminations into time windows of ``tw_ms``.
 
-    ``samples`` supplies (time, rt_est, class) probes taken at window
-    boundaries; ``arrivals`` the spawn timestamps for the cumulative
-    arrival counter.  Empty buckets keep counters at zero and carry the
-    previous commit rate forward.  The order of ``events`` does not matter.
-    A record stamped before time 0 raises ValueError.
+    ``samples`` supplies (time, rt_est, class) change points in time order:
+    window k, which ends at ``k * tw_ms``, reports the last one stamped at
+    or before its end, and (0.0, "-") before the first; of change points
+    that share an instant, the later one in ``samples`` wins.  ``arrivals``
+    supplies the spawn timestamps for the cumulative arrival counter.
+    Empty buckets keep counters at zero and carry the previous commit rate
+    forward.  The order of ``events`` does not matter.  A record stamped
+    before time 0 raises ValueError.
     """
     events = list(events)
     if not events:
@@ -121,7 +124,7 @@ def aggregate(
             if ev.abort_reason is _ABORT_RECLASSIFICATION:
                 reclass[bucket] += 1
 
-    sample_list = sorted(samples) if samples else []
+    sample_list = samples or ()
     arrival_list = sorted(arrivals) if arrivals else []
     rows: list[TimeWindowRow] = []
     cr_prev = 1.0

@@ -1,7 +1,9 @@
 """Minimal discrete-event scheduler on a virtual clock.
 
 The scheduler runs two kinds of heap entries, each ``(time, sequence,
-target, value)``: plain callbacks (``call_at``), and session steps.  A
+target, value)``: plain callbacks, due at the absolute time given to
+``call_at`` (a caller that repeats one every w ms asks for the k-th at
+``k * w``, so float error does not build up), and session steps.  A
 session is a generator that yields how many ms to wait before its next
 step, or None to park until a continuation calls ``resume``; the run loop
 ``send``s the entry's value into it and pushes its next step itself, and a
@@ -40,9 +42,6 @@ class Scheduler:
         if when_ms < self.now_ms:
             when_ms = self.now_ms
         heapq.heappush(self._queue, (when_ms, next(self._seq), fn, _CALL))
-
-    def call_later(self, delay_ms: float, fn: Callable[[], None]) -> None:
-        self.call_at(self.now_ms + max(delay_ms, 0.0), fn)
 
     def resume(self, session: Session, value: Any = None) -> None:
         """Send ``value`` into a parked session on a fresh event at the

@@ -292,8 +292,10 @@ def test_outputs_that_cannot_be_written_exit_2(tmp_path, capsys):
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("id,mr,fw,un,ow,con,num,com,dep,in,gua\n")
     assert main(["classify", "--manifest", str(manifest), "--out", str(blocker / "x")]) == 2
+    for out in (blocker, blocker / "out"):  # FileExistsError, NotADirectoryError
+        assert main(["replay-scenario", "fig7", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 2 and "Traceback" not in err
+    assert len(err.splitlines()) == 4 and "Traceback" not in err
 
 
 _HEADER = "time_ms,txn_id,op,item,detail\n"

@@ -4,12 +4,13 @@ import gc
 import math
 import random
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from adaptivecc import cli
-from adaptivecc.adaptation import AdaptationConfig
+from adaptivecc.adaptation import AdaptationConfig, Mode
 from adaptivecc.engine import AbortReason
 from adaptivecc.harness import (
     DECK_MIX,
@@ -18,10 +19,12 @@ from adaptivecc.harness import (
     TEMPLATE_TPCC_DECK,
     ConfigurationError,
     ExperimentRunner,
+    Workload,
     overload_adaptation_scenario,
     poisson_arrivals,
     run_experiment,
     single_item_store,
+    single_item_template,
     tpcc_deck,
     tpcc_store,
     write_outputs,
@@ -73,8 +76,8 @@ def test_profile_validation():
 @pytest.mark.parametrize("field", ["lambdas", "dt_min_ms", "dt_max_ms", "epoch_ms"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_profile_refuses_non_finite_values(field, value):
-    # inf epochs or rates spun in poisson_arrivals, an inf dt_max grew the
-    # boundary samples without end and a nan epoch reached summarize.
+    # inf epochs or rates spun in poisson_arrivals, an inf dt_max re-armed
+    # the window boundary without end and a nan epoch reached summarize.
     # Only the profile is built here; none of these may be replayed.
     settings = {"lambdas": (1.0,), "dt_max_ms": 10.0}
     settings[field] = (1.0, value) if field == "lambdas" else value
@@ -277,11 +280,18 @@ def test_termination_records_are_immutable_and_hashable():
     assert any(r.queue_snapshots for r in records), "no lock was released with a queue"
 
 
-def _demo_controller_runner():
-    demos = Path(__file__).resolve().parent.parent / "demos"
-    conf = (demos / "experiment.conf").read_text(encoding="utf-8")
+def _config(path="demos/experiment.conf", mode=None):
+    # a repository config as (profile, adapt config, runner kwargs), ``mode`` overriding its own
+    conf = (Path(__file__).resolve().parent.parent / path).read_text(encoding="utf-8")
+    if mode is not None:
+        conf += f"\nmode = {mode}\n"
     profile, adapt_config, kwargs = cli.build_run(cli.parse_config(conf))
     del kwargs["out_dir"]
+    return profile, adapt_config, kwargs
+
+
+def _demo_controller_runner():
+    profile, adapt_config, kwargs = _config()
     return ExperimentRunner(profile, adapt_config, **kwargs)
 
 
@@ -427,3 +437,127 @@ def test_the_heap_holds_only_in_flight_events_on_a_long_plan():
     result = runner.run()
     assert result.spawned >= 10_000
     assert max(longest) < 200
+
+
+class PollingRunner(ExperimentRunner):
+    """The oracle of the runner's timeseries: it samples the watched item at
+    exactly every multiple of ``tw_ms`` while transactions are due, closing
+    the controller's window just before the sample in TIME_WINDOW mode, and
+    records no change points."""
+
+    def _note_change(self, _record=None):
+        pass
+
+    def _boundary(self, k):
+        pass  # the poll closes the windows
+
+    def _run(self, out_dir):
+        self.scheduler.call_at(self.tw_ms, partial(self._poll, 1))
+        return super()._run(out_dir)
+
+    def _poll(self, k):
+        now = self.scheduler.now_ms
+        controller = self.controller
+        if controller is not None and controller.config.mode is Mode.TIME_WINDOW:
+            controller.close_window(now)
+        adaptable = [item.id for item in self.store.items() if item.adaptable]
+        if len(adaptable) == 1:
+            cls = self.store.item(adaptable[0]).current_class.value
+            rt = controller.rt_est(adaptable[0]) if controller else 0.0
+        else:
+            cls, rt = "-", 0.0
+        self._changes.append((now, rt, cls))
+        if len(self.events) < self._planned:
+            self.scheduler.call_at((k + 1) * self.tw_ms, partial(self._poll, k + 1))
+
+
+def _assert_matches_the_poll(profile, adapt_config, tw_ms):
+    result = ExperimentRunner(profile, adapt_config, tw_ms=tw_ms).run()
+    expected = PollingRunner(profile, adapt_config, tw_ms=tw_ms).run()
+    assert result.events == expected.events
+    assert result.adapt_events == expected.adapt_events
+    assert result.timeseries == expected.timeseries
+    if adapt_config is not None and adapt_config.mode is Mode.TIME_WINDOW:
+        # every switch happens where a window closes: at an exact multiple
+        assert all(ev.time_ms == round(ev.time_ms / tw_ms) * tw_ms for ev in result.adapt_events)
+    return result
+
+
+@pytest.mark.parametrize("beta", [None, 1000.0], ids=["no_barrier", "barrier"])
+@pytest.mark.parametrize("mode", [None, Mode.PER_TERMINATION, Mode.TIME_WINDOW],
+                         ids=["off", "pertermination", "timewindow"])
+@pytest.mark.parametrize("tw_ms", [100.0, 30.3, 7.0, 250.0])
+def test_change_points_give_the_rows_of_the_exact_instant_poll(tw_ms, mode, beta):
+    # The first four epochs of demos/experiment.conf's ramp: many switches
+    # and rt_est changes per run, and window widths that are not binary
+    # fractions, so a boundary that drifts off k * tw_ms shows.
+    adapt_config = None if mode is None else AdaptationConfig(
+        gamma=0.9, delta=0.05, beta=beta, mode=mode
+    )
+    for seed in range(6):
+        profile = EpochProfile(
+            lambdas=(13.2, 26.4, 40.0, 53.0), dt_min_ms=100, dt_max_ms=1000, seed=seed
+        )
+        _assert_matches_the_poll(profile, adapt_config, tw_ms)
+
+
+@pytest.mark.parametrize("mode", [Mode.PER_TERMINATION, Mode.TIME_WINDOW],
+                         ids=["pertermination", "timewindow"])
+def test_every_window_row_reads_its_own_end_at_a_width_of_30_3_ms(mode):
+    # With the boundary re-armed tw_ms after the last one, float error moved
+    # most samples just past their window's end, and 150 of the 273 rows in
+    # per-termination mode showed the previous window's rt_est and class.
+    profile, adapt_config, _ = _config()
+    adapt_config = dataclasses.replace(adapt_config, mode=mode)
+    result = _assert_matches_the_poll(profile, adapt_config, 30.3)
+    assert len(result.adapt_events) > 10
+
+
+def _count_call_at(monkeypatch):
+    calls = []
+    call_at = Scheduler.call_at
+    monkeypatch.setattr(
+        Scheduler, "call_at", lambda self, when, fn: (calls.append(when), call_at(self, when, fn))
+    )
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["off", "pertermination"])
+@pytest.mark.parametrize("path", ["bench/deck.conf", "demos/experiment.conf"])
+def test_only_a_time_window_controller_schedules_events_of_its_own(path, mode, monkeypatch):
+    calls = _count_call_at(monkeypatch)
+    profile, adapt_config, kwargs = _config(path, mode)
+    runner = ExperimentRunner(profile, adapt_config, **kwargs)
+    result = runner.run()
+    assert calls == []
+    if profile.template == TEMPLATE_TPCC_DECK:  # no watched item: nothing recorded
+        assert runner._changes == [] and {row.current_class for row in result.timeseries} == {"-"}
+
+
+def test_a_time_window_controller_closes_one_window_per_tw_ms_while_txns_are_due(monkeypatch):
+    calls = _count_call_at(monkeypatch)
+    profile, adapt_config, kwargs = _config(mode="timewindow")
+    result = ExperimentRunner(profile, adapt_config, **kwargs).run()
+    last = max(record.termination_ms for record in result.events)
+    # boundaries at 100, 200, ... up to the first one after the last termination
+    assert calls == [100.0 * k for k in range(1, int(last // 100) + 2)]
+    assert len(calls) == 83
+
+
+@pytest.mark.parametrize("mode", [None, Mode.PER_TERMINATION], ids=["off", "pertermination"])
+@pytest.mark.parametrize("tw_ms", [1.0, 1000.0])
+def test_an_idle_tail_schedules_no_event_at_any_window_width(tw_ms, mode, monkeypatch):
+    # One transaction that disconnects for 10^6 ms.  The timeseries still has
+    # one row per window by design, so the aggregation is left out here.
+    monkeypatch.setitem(WORKLOADS, "idle_tail", Workload(
+        WORKLOADS["single_item"].store, lambda profile, rng: [(0.0, single_item_template(), 1e6)]
+    ))
+    monkeypatch.setattr(ExperimentRunner, "_result", lambda self, schedule, out_dir: None)
+    calls = _count_call_at(monkeypatch)
+    adapt_config = None if mode is None else AdaptationConfig(gamma=0.9, delta=0.05, mode=mode)
+    runner = ExperimentRunner(
+        EpochProfile(lambdas=(0.0,), template="idle_tail"), adapt_config, tw_ms=tw_ms
+    )
+    runner.run()
+    assert len(runner.events) == 1 and runner.scheduler.now_ms > 1e6
+    assert calls == []

@@ -127,6 +127,9 @@ def test_aggregate_samples_and_arrivals():
     assert rows[1].rt_est == 0.0 and rows[1].current_class == "O"
     assert rows[0].arrivals_cum == 2
     assert rows[1].arrivals_cum == 3
+    # change points that share an instant: the later one in the list wins
+    rows = aggregate([term(1, 50)], 100.0, samples=[(100.0, 5.0, "P"), (100.0, 0.0, "O")])
+    assert rows[0].rt_est == 0.0 and rows[0].current_class == "O"
 
 
 def test_summarize_degree_of_concurrency():

@@ -106,6 +106,7 @@ class Program:
     def run_scheduler(self):
         loop = Scheduler()
         clock = lambda: loop.now_ms  # noqa: E731
+        later = lambda delay, fn: loop.call_at(loop.now_ms + delay, fn)  # noqa: E731
         sessions = {}
 
         def start(row):
@@ -117,7 +118,7 @@ class Program:
             loop.resume(sessions[index], value)
 
         for j, (when, action) in enumerate(self.callbacks):
-            callback = partial(self.callback, clock, loop.call_later, wake, f"c{j}", action)
+            callback = partial(self.callback, clock, later, wake, f"c{j}", action)
             loop.call_at(when, callback)
         rows = [(when, index, steps) for index, (when, steps) in enumerate(self.arrivals)]
         loop.run(sorted(rows, key=itemgetter(0)), start)
