@@ -16,11 +16,14 @@ script over its own store.
 
 Each transaction is a session: a generator that the scheduler steps
 straight off its heap, and that yields its think and service delays or
-parks until its lock is granted.  The plan, stably sorted by arrival time,
-is handed to the scheduler's run as its arrivals, so the heap holds only
+parks until its lock is granted.  A plan is every arrival time, drawn up
+front, and the rows: one ``(arrival, template, dt)`` per time, in time
+order, whose template and dt are drawn only when the replay reaches the
+row.  The times become the run's ``arrivals``, the one list a run keeps
+per planned transaction; the rows are handed to the scheduler's run, which
+raises ValueError on a row that goes back in time, so the heap holds only
 in-flight events.  An arrival runs before any queued event due at the same
-time, and arrivals due together run in plan order; that is the order the
-run had when every arrival was queued up front, ahead of all other events.
+time, and arrivals due together run in plan order.
 
 Transaction templates are class-agnostic: an access declares the item and
 an optional update delta, and the item's current class picks the
@@ -30,10 +33,14 @@ write under lock or validation on P/O).
 A timeseries row reports the run's watched item (its one adaptable item,
 if it has exactly one): its ``rt_est`` and class at the window's end.  Both
 change only in the controller, so the runner records a ``(time, rt_est,
-class)`` change point at t = 0 and, when the pair changed, after the
-controller's termination sink and after every switch.  The only scheduler
-events the runner adds are a TIME_WINDOW controller's: window k closes at
-exactly ``k * tw_ms``, where ``metrics.aggregate`` ends it.
+class)`` change point at t = 0 and, when the pair changed, after each call
+into the controller: a controlled run's one termination sink feeds the
+record to the controller and then notes the point, and so does each window
+close.  A point that no window end ``k * tw_ms`` follows before the next
+one is replaced by it, so a run keeps at most one point per window.  The
+only scheduler events the runner adds are a TIME_WINDOW controller's:
+window k closes at exactly ``k * tw_ms``, where ``metrics.aggregate`` ends
+it.
 
 With an ``out_dir``, a run streams its trace: an arrival that finds at
 least ``TRACE_CHUNK_ROWS`` rows in the engine's trace list writes them in
@@ -54,13 +61,13 @@ closes over the scheduler, not the runner.  A session's resume
 continuation refers to the session's own generator, which holds the
 continuation in its frame; that cycle lasts only while the session runs,
 because a finished generator drops its frame.  The scheduler keeps no
-reference to the plan or to ``start`` once its run returns.  Reference
+reference to the rows or to ``start`` once its run returns.  Reference
 counting frees everything a replay drops, so a collector pass would only
-walk the run's live objects.  Engine and controller refer to each other
-only until the run ends, and so do the engine and controller hooks that
-record the change points, so a dropped runner is freed by reference
-counting too.  ``tests/test_harness.py`` pins this by finding no
-unreachable objects after replays run without the collector.
+walk the run's live objects.  The engine refers to the runner, through a
+controlled run's termination sink, only until the run ends, so a dropped
+runner is freed by reference counting too.  ``tests/test_harness.py`` pins
+this by finding no unreachable objects after replays run without the
+collector.
 """
 
 from __future__ import annotations
@@ -73,11 +80,10 @@ import random
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import itemgetter
-from typing import Any, Callable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import metrics, sg
-from .adaptation import AdaptationConfig, AdaptEvent, Controller, ItemState, Mode, estimate_rt
+from .adaptation import AdaptationConfig, AdaptEvent, Controller, Mode
 from .engine import Engine, ReadOutcome, ReadStatus, TerminationRecord, Txn, WriteIntent
 from .metrics import Summary, TimeWindowRow
 from .simclock import Scheduler, Session
@@ -225,12 +231,15 @@ def single_item_template() -> TxnTemplate:
 
 # -- workloads ------------------------------------------------------------------
 
-Plan = list[tuple[float, TxnTemplate, float]]  # (arrival ms, template, dt ms)
+Row = tuple[float, TxnTemplate, float]  # (arrival ms, template, dt ms)
+Plan = tuple[list[float], Iterable[Row]]  # every arrival time; the rows, in time order
 
 
 class Workload(NamedTuple):
     """What a profile ``template`` names: a fresh store (all-O when
-    ``si_only``) and the timed transactions a run replays on it."""
+    ``si_only``) and the timed transactions a run replays on it: every
+    arrival time, and one row per time, in time order, that may be drawn
+    only as the replay reaches it."""
 
     store: Callable[[bool], Store]
     plan: Callable[[EpochProfile, random.Random], Plan]
@@ -241,16 +250,16 @@ def _poisson_plan(
     profile: EpochProfile,
     rng: random.Random,
 ) -> Plan:
-    # Draw order: every arrival, then per arrival its template's draws and dt.
+    # Draw order: every arrival; then, as the replay reaches each, its template's draws and dt.
     times: list[float] = []
     for index, lam in enumerate(profile.lambdas):
         start = index * profile.epoch_ms
         times.extend(start + t for t in poisson_arrivals(lam, profile.epoch_ms, rng))
     lo, hi = profile.dt_min_ms, profile.dt_max_ms
-    return [
+    return times, (
         (t, template, rng.uniform(lo, hi) if hi > 0 else 0.0)
         for t, template in zip(times, templates(rng))
-    ]
+    )
 
 
 def _decks(rng: random.Random) -> Iterator[TxnTemplate]:
@@ -270,11 +279,11 @@ def _fig7_plan(profile: EpochProfile, rng: random.Random) -> Plan:
     hot = single_item_template()
     debit = TxnTemplate("hot_update", (*hot.accesses, Access("ledger", delta=-10)))
     write_ms = (20.0, 25.0, 35.0, 45.0, 55.0, 65.0, 75.0, 85.0, 115.0, 110.0)
-    plan = [
+    rows = [
         (slot, debit if slot == 9 else hot, when - slot)
         for slot, when in enumerate(write_ms, start=1)
-    ]
-    return plan + [(when, hot, 0.0) for when in (120.0, 140.0, 160.0, 210.0, 240.0)]
+    ] + [(when, hot, 0.0) for when in (120.0, 140.0, 160.0, 210.0, 240.0)]
+    return [row[0] for row in rows], rows
 
 
 WORKLOADS = {
@@ -298,7 +307,8 @@ class ExperimentResult:
     had no ``out_dir``; with one, an ``sg.TraceFile`` over the streamed
     ``trace.csv``, whose ``len`` is the number of rows and whose iteration
     reads the file back as equal ``ScheduleEvent``s.  ``events`` holds every
-    termination record in memory either way.
+    termination record in memory either way.  ``arrivals`` is the plan's
+    arrival times, one per spawned transaction, in time order.
     """
 
     profile: EpochProfile
@@ -368,6 +378,7 @@ class ExperimentRunner:
         scheduler = self.scheduler  # the clock must not hold the runner
         self.engine = Engine(self.store, clock=lambda: scheduler.now_ms)
         self.adapt_events: list[AdaptEvent] = []
+        self.events: list[TerminationRecord] = []
         self.controller: Optional[Controller] = None
         # si_only: every item in O, whole read sets validated backward, no adaptation.
         if adapt_config is not None and engine_mode == "orpe":
@@ -377,23 +388,19 @@ class ExperimentRunner:
                 reclassify=self.engine.reclassify_item,
                 event_sink=self.adapt_events.append,
             )
-            self.engine.termination_sinks.append(self.controller.on_txn_termination)
+        sink = self.events.append if self.controller is None else self._terminated
+        self.engine.termination_sinks.append(sink)
         adaptable = [item for item in self.store.items() if item.adaptable]
         # the watched item's (time, rt_est, class) change points, in time order
         self._changes: list[tuple[float, float, str]] = []
-        self._watched: Optional[tuple[VersionedItem, ItemState]] = None
+        self._watched: Optional[VersionedItem] = None
+        self._read_from = self.tw_ms  # the end of the first window that reads _changes[-1]
         if len(adaptable) == 1:
-            watched = adaptable[0]
             # no service time is known at t = 0, so rt_est is 0.0 in any class
-            self._changes.append((0.0, 0.0, watched.current_class._value_))
+            self._changes.append((0.0, 0.0, adaptable[0].current_class._value_))
             if self.controller is not None:
-                self._watched = watched, self.controller.states[watched.id]
-                self.engine.termination_sinks.append(self._note_change)
-                self.controller.event_sink = self._switched
-        self.events: list[TerminationRecord] = []
-        self.engine.termination_sinks.append(self.events.append)
-        self.arrivals: list[float] = []
-        self._planned = 0
+                self._watched = adaptable[0]
+        self.arrivals: list[float] = []  # the plan's arrival times, once the run has drawn them
         self._escrow_items: set[str] = set()
         self._trace_out: Any = None  # the trace file's writer while a run streams to it
         self._trace_rows = 0  # rows written to it so far
@@ -450,7 +457,6 @@ class ExperimentRunner:
         _, template, dt_ms = row
         if self._trace_out is not None and len(self.engine.trace) >= TRACE_CHUNK_ROWS:
             self._drain_trace()
-        self.arrivals.append(self.scheduler.now_ms)
         txn = self.engine.begin(read_only=template.read_only)
         resume = self.scheduler.resume  # the continuation must not hold the runner
         session = self._session(txn, template, dt_ms, lambda outcome: resume(session, outcome))
@@ -464,25 +470,43 @@ class ExperimentRunner:
 
     # -- measurement --------------------------------------------------------
 
-    def _note_change(self, _record: object = None) -> None:
-        # Runs after the controller's termination sink and after every
-        # switch, the only places the watched item's rt_est or class changes.
-        item, state = self._watched
-        cls = item.current_class
-        rt = estimate_rt(state.mean_st, state.last_queue_len, cls)
-        last = self._changes[-1]
-        if rt != last[1] or cls._value_ != last[2]:
-            self._changes.append((self.scheduler.now_ms, rt, cls._value_))
-
-    def _switched(self, event: AdaptEvent) -> None:
-        self.adapt_events.append(event)
+    def _terminated(self, record: TerminationRecord) -> None:
+        # The engine's one sink of a controlled run.
+        self.events.append(record)
+        self.controller.on_txn_termination(record)
         self._note_change()
+
+    def _note_change(self) -> None:
+        # Runs after every call into the controller, the only code that
+        # changes the watched item's rt_est or class.
+        item = self._watched
+        if item is None:
+            return
+        rt = self.controller.rt_est(item.id)
+        cls = item.current_class._value_
+        _, last_rt, last_cls = self._changes[-1]
+        if rt == last_rt and cls == last_cls:
+            return
+        now = self.scheduler.now_ms
+        if self._read_from >= now:  # no window reads the last point: replace it
+            self._changes[-1] = (now, rt, cls)
+            return
+        self._changes.append((now, rt, cls))
+        # the first window end k * tw_ms at or after now, as aggregate computes it
+        tw_ms = self.tw_ms
+        k = max(math.ceil(now / tw_ms), 1)
+        if k > 1 and (k - 1) * tw_ms >= now:
+            k -= 1
+        elif k * tw_ms < now:
+            k += 1
+        self._read_from = k * tw_ms
 
     def _boundary(self, k: int) -> None:
         # TIME_WINDOW only: close the controller's window k at k * tw_ms, the
         # instant metrics.aggregate ends window k at.
         self.controller.close_window(self.scheduler.now_ms)
-        if len(self.events) < self._planned:  # some arrival is due or in flight
+        self._note_change()
+        if len(self.events) < len(self.arrivals):  # some arrival is due or in flight
             self.scheduler.call_at((k + 1) * self.tw_ms, partial(self._boundary, k + 1))
 
     # -- top level -----------------------------------------------------------
@@ -498,24 +522,19 @@ class ExperimentRunner:
         try:
             return self._run(out_dir)
         finally:
-            if self.controller is not None:  # break the engine <-> controller <-> runner cycles
-                self.engine.termination_sinks.remove(self.controller.on_txn_termination)
-                if self._watched is not None:
-                    self.engine.termination_sinks.remove(self._note_change)
-                    self.controller.event_sink = self.adapt_events.append
+            if self.controller is not None:  # break the engine -> runner -> engine cycle
+                self.engine.termination_sinks.remove(self._terminated)
             if collecting:
                 gc.enable()
 
     def _run(self, out_dir: Optional[str]) -> ExperimentResult:
-        plan = WORKLOADS[self.profile.template].plan(self.profile, self.rng)
-        self._planned = len(plan)
+        self.arrivals, rows = WORKLOADS[self.profile.template].plan(self.profile, self.rng)
         # E is a static class: no item moves into or out of it.
         self._escrow_items = {i.id for i in self.store.items() if i.static_class is _CLASS_E}
         if self.controller is not None and self.controller.config.mode is _MODE_TIME_WINDOW:
             self.scheduler.call_at(self.tw_ms, partial(self._boundary, 1))
-        plan.sort(key=itemgetter(0))  # stable: arrivals due together stay in plan order
         if out_dir is None:
-            self.scheduler.run(plan, self._start)
+            self.scheduler.run(rows, self._start)
             return self._result(self.engine.trace, None)
         os.makedirs(out_dir, exist_ok=True)
         trace_path = os.path.join(out_dir, "trace.csv")
@@ -524,7 +543,7 @@ class ExperimentRunner:
         try:
             with fh:
                 self._trace_out = sg.trace_writer(fh)
-                self.scheduler.run(plan, self._start)
+                self.scheduler.run(rows, self._start)
                 self._drain_trace()
             result = self._result(sg.TraceFile(trace_path, self._trace_rows), out_dir)
             os.replace(part_path, trace_path)
@@ -538,7 +557,7 @@ class ExperimentRunner:
     def _result(
         self, schedule: list[sg.ScheduleEvent] | sg.TraceFile, out_dir: Optional[str]
     ) -> ExperimentResult:
-        if len(self.events) < self._planned:
+        if len(self.events) < len(self.arrivals):
             raise RuntimeError("experiment ended with unterminated transactions")
         if not self.events:
             raise ConfigurationError("profile spawned no transactions")
@@ -559,7 +578,7 @@ class ExperimentRunner:
             timeseries=timeseries,
             summary=summary,
             arrivals=self.arrivals,
-            spawned=self._planned,
+            spawned=len(self.arrivals),
             elapsed_ms=elapsed,
             out_dir=out_dir,
         )

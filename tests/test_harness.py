@@ -89,9 +89,14 @@ def test_profile_refuses_non_finite_values(field, value):
 def test_every_workload_plans_deterministically_on_fresh_stores(template):
     workload = WORKLOADS[template]
     profile = EpochProfile(lambdas=(80.0, 40.0), dt_max_ms=20.0, template=template, seed=5)
-    first = workload.plan(profile, random.Random(profile.seed))
-    assert first
-    assert workload.plan(profile, random.Random(profile.seed)) == first
+    times, rows = workload.plan(profile, random.Random(profile.seed))
+    rows = list(rows)
+    assert rows
+    # one row per time, in time order: a missing row would leave a
+    # TIME_WINDOW boundary re-arming for ever
+    assert [row[0] for row in rows] == times == sorted(times)
+    again_times, again_rows = workload.plan(profile, random.Random(profile.seed))
+    assert again_times == times and list(again_rows) == rows
     stores = [workload.store(False), workload.store(False)]
     assert all(isinstance(store, Store) for store in stores)
     assert stores[0] is not stores[1]  # no run shares state with another
@@ -445,7 +450,7 @@ class PollingRunner(ExperimentRunner):
     the controller's window just before the sample in TIME_WINDOW mode, and
     records no change points."""
 
-    def _note_change(self, _record=None):
+    def _note_change(self):
         pass
 
     def _boundary(self, k):
@@ -467,7 +472,7 @@ class PollingRunner(ExperimentRunner):
         else:
             cls, rt = "-", 0.0
         self._changes.append((now, rt, cls))
-        if len(self.events) < self._planned:
+        if len(self.events) < len(self.arrivals):
             self.scheduler.call_at((k + 1) * self.tw_ms, partial(self._poll, k + 1))
 
 
@@ -550,7 +555,8 @@ def test_an_idle_tail_schedules_no_event_at_any_window_width(tw_ms, mode, monkey
     # One transaction that disconnects for 10^6 ms.  The timeseries still has
     # one row per window by design, so the aggregation is left out here.
     monkeypatch.setitem(WORKLOADS, "idle_tail", Workload(
-        WORKLOADS["single_item"].store, lambda profile, rng: [(0.0, single_item_template(), 1e6)]
+        WORKLOADS["single_item"].store,
+        lambda profile, rng: ([0.0], [(0.0, single_item_template(), 1e6)]),
     ))
     monkeypatch.setattr(ExperimentRunner, "_result", lambda self, schedule, out_dir: None)
     calls = _count_call_at(monkeypatch)
@@ -561,3 +567,33 @@ def test_an_idle_tail_schedules_no_event_at_any_window_width(tw_ms, mode, monkey
     runner.run()
     assert len(runner.events) == 1 and runner.scheduler.now_ms > 1e6
     assert calls == []
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["in_memory", "out_dir"])
+def test_a_plan_that_goes_back_in_time_fails_and_leaves_the_out_dir_as_it_was(
+    streamed, monkeypatch, tmp_path
+):
+    # The runner replays rows in the order the plan yields them and sorts
+    # nothing, so disorder must fail loudly instead of replaying silently.
+    hot = single_item_template()
+    monkeypatch.setitem(WORKLOADS, "backwards", Workload(
+        WORKLOADS["single_item"].store,
+        lambda profile, rng: ([5.0, 3.0], [(5.0, hot, 0.0), (3.0, hot, 0.0)]),
+    ))
+    (tmp_path / "trace.csv").write_text("an earlier run's trace\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    runner = ExperimentRunner(EpochProfile(lambdas=(0.0,), template="backwards"))
+    with pytest.raises(ValueError, match="follows"):
+        runner.run(str(tmp_path) if streamed else None)
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_the_hot_item_benchmark_keeps_at_most_one_change_point_per_window():
+    # bench/hot_w2.conf re-estimates the hot item's rt_est at most
+    # terminations, several times per window, but a window reads only the
+    # last change point at or before its end.
+    profile, adapt_config, kwargs = _config("bench/hot_w2.conf")
+    runner = ExperimentRunner(profile, adapt_config, **kwargs)
+    result = runner.run()
+    assert len(runner._changes) <= len(result.timeseries) + 1
+    assert result.timeseries == PollingRunner(profile, adapt_config, **kwargs).run().timeseries

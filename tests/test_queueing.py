@@ -24,7 +24,6 @@ theory of queues with a single server", Proc. Cambridge Phil. Soc. 1952.
 import math
 import random
 import statistics
-from operator import itemgetter
 
 import pytest
 
@@ -67,8 +66,8 @@ def replay_held_in_p(lam_per_s, epochs, seed=3):
     runner = ExperimentRunner(profile, None, store=store, op_cost_ms=OP_COST_MS, tw_ms=1000.0)
     records = sorted(runner.run().events, key=lambda rec: rec.arrival_ms)
     # the runner draws its plan first from Random(seed): draw it again
-    plan = WORKLOADS[TEMPLATE_SINGLE_ITEM].plan(profile, random.Random(seed))
-    plan.sort(key=itemgetter(0))
+    _, rows = WORKLOADS[TEMPLATE_SINGLE_ITEM].plan(profile, random.Random(seed))
+    plan = list(rows)
     assert len(records) == len(plan)
     assert all(rec.outcome == "commit" for rec in records)
     return plan, records

@@ -148,7 +148,7 @@ def test_every_record_a_replay_hands_out_matches_its_constructor(make_runner, mo
     keep(LockManager, "release", grants)
     runner = make_runner()
     profile = runner.profile
-    plan = WORKLOADS[profile.template].plan(profile, random.Random(profile.seed))  # the run's plan
+    plan = list(WORKLOADS[profile.template].plan(profile, random.Random(profile.seed))[1])
     result = runner.run()
 
     found = {

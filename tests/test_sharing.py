@@ -32,12 +32,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # 1844 when every row and record held its own copy of each cell, 1296 with
 # the cells shared.
 RETAINED_BYTES_PER_TXN = 1500
-# The same replay with an out_dir, its trace streamed to trace.csv: 288
-# bytes retained and a 690-byte peak per txn, against 1296 and 1698 without
+# The same replay with an out_dir, its trace streamed to trace.csv: 282
+# bytes retained and a 342-byte peak per txn, against 1290 and 1350 without
 # an out_dir.  What it keeps is the termination records and the arrival
-# stamps; its peak adds the plan, which lives for the whole replay.
+# times.  The plan's rows are drawn as the replay reaches them, so the peak
+# adds a trace chunk and the transactions in flight, not a row per txn: it
+# was 683 bytes while the whole plan lived for the whole replay.
 STREAMED_RETAINED_BYTES_PER_TXN = 500
-STREAMED_PEAK_BYTES_PER_TXN = 1000
+STREAMED_PEAK_BYTES_PER_TXN = 500
 
 
 def one_object_per_value(cells):
