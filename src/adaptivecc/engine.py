@@ -189,8 +189,6 @@ class Txn:
     write_set: dict[str, WriteIntent] = field(default_factory=dict)
     first_read_ms: Optional[float] = None
     write_submit_ms: Optional[float] = None
-    termination_ms: Optional[float] = None
-    abort_reason: Optional[AbortReason] = None
     waiting_on: Optional[str] = None
     service_ms: float = 0.0  # modeled busy time, charged by the caller
     _pending_cb: Optional[Callable[[ReadOutcome], None]] = None
@@ -502,8 +500,7 @@ class Engine:
 
     def _terminate(self, txn: Txn, phase: Phase, reason: Optional[AbortReason]) -> None:
         txn.phase = phase
-        txn.abort_reason = reason
-        txn.termination_ms = now = self.clock()
+        now = self.clock()
         committed = phase is _PHASE_COMMITTED
         if committed:
             row = (int(now), txn.txn_id, sg.COMMIT, "", "")

@@ -47,12 +47,13 @@ least ``TRACE_CHUNK_ROWS`` rows in the engine's trace list writes them in
 one ``writerows`` call and clears the list, and the rows left when the
 replay ends are written after it.  The engine still adds each row with one
 list append, and the trace costs one chunk of memory, not one row per event
-of the run.  The rows go to a part file that replaces ``trace.csv`` only
-once the replay and its aggregation have succeeded; a run that fails
-removes it, so the files already in ``out_dir`` stay as they were.
-``write_outputs`` then writes the four CSVs derived from the termination
-records, which stay in memory.  Without an ``out_dir`` the whole trace
-stays in the engine's list.
+of the run.  Without an ``out_dir`` the whole trace stays in the engine's
+list.  Every file a run writes goes to a part file first: the rows to
+``trace.csv.part``, then ``write_outputs`` writes the four CSVs derived
+from the termination records, which stay in memory, to their own parts,
+and only then replaces each of the five names by its part.  A run that
+fails before that removes every part, so the files already in ``out_dir``
+stay as they were.
 
 A replay runs with the cyclic garbage collector paused and restores the
 caller's collector state when it ends.  This is safe because a replay
@@ -100,6 +101,8 @@ TEMPLATE_TPCC_DECK = "tpcc_deck"
 HOT_ITEM = "hot"
 
 TRACE_CHUNK_ROWS = 4096  # trace rows a streamed run holds before it writes them
+# the files a run with an out_dir lands there, the streamed trace first
+OUTPUT_FILES = ("trace.csv", "terminations.csv", "timeseries.csv", "summary.csv", "adaptation.csv")
 
 # Seven-epoch arrival-rate profiles used by the long-transaction studies.
 W1 = (7, 14, 80, 87, 93, 100, 106)
@@ -538,20 +541,19 @@ class ExperimentRunner:
             return self._result(self.engine.trace, None)
         os.makedirs(out_dir, exist_ok=True)
         trace_path = os.path.join(out_dir, "trace.csv")
-        part_path = trace_path + ".part"
-        fh = open(part_path, "w", newline="", encoding="utf-8")
+        fh = open(trace_path + ".part", "w", newline="", encoding="utf-8")
         try:
             with fh:
                 self._trace_out = sg.trace_writer(fh)
                 self.scheduler.run(rows, self._start)
                 self._drain_trace()
             result = self._result(sg.TraceFile(trace_path, self._trace_rows), out_dir)
-            os.replace(part_path, trace_path)
+            write_outputs(result, out_dir)  # by its global name: bench/spans.py wraps it
         except BaseException:
-            with contextlib.suppress(OSError):  # the run's own error is the one to see
-                os.remove(part_path)
+            for name in OUTPUT_FILES:
+                with contextlib.suppress(OSError):  # the run's own error is the one to see
+                    os.remove(os.path.join(out_dir, name + ".part"))
             raise
-        write_outputs(result, out_dir)
         return result
 
     def _result(
@@ -563,7 +565,7 @@ class ExperimentRunner:
             raise ConfigurationError("profile spawned no transactions")
         # the last termination's integer stamp, or the profile's end if later
         elapsed = max(
-            max([int(e.termination_ms) for e in self.events]),
+            int(max(e.termination_ms for e in self.events)),
             self.profile.epoch_ms * len(self.profile.lambdas),
         )
         timeseries = metrics.aggregate(
@@ -596,24 +598,23 @@ def run_experiment(
 
 
 def write_outputs(result: ExperimentResult, out_dir: str) -> None:
-    """Write the four CSVs derived from the records: ``terminations.csv``,
-    ``timeseries.csv``, ``summary.csv`` and ``adaptation.csv``.  ``trace.csv``
-    is written by the run itself, while it replays."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(
-        os.path.join(out_dir, "terminations.csv"), "w", newline="", encoding="utf-8"
-    ) as fh:
-        metrics.write_terminations_csv(result.events, fh)
-    with open(
-        os.path.join(out_dir, "timeseries.csv"), "w", newline="", encoding="utf-8"
-    ) as fh:
-        metrics.write_timeseries_csv(result.timeseries, fh)
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
-        metrics.write_summary_csv(result.summary, fh)
-    with open(
-        os.path.join(out_dir, "adaptation.csv"), "w", newline="", encoding="utf-8"
-    ) as fh:
-        metrics.write_adaptation_csv(result.adapt_events, fh)
+    """Land a run's files in ``out_dir``: write the four CSVs derived from the
+    records to ``<name>.part``, then replace each name by its part, and
+    ``trace.csv`` by the part the run streamed when ``result.schedule`` is an
+    ``sg.TraceFile``.  A writer that raises leaves its parts; a run removes them."""
+    derived = (  # the writers of OUTPUT_FILES[1:], in its order
+        (metrics.write_terminations_csv, result.events),
+        (metrics.write_timeseries_csv, result.timeseries),
+        (metrics.write_summary_csv, result.summary),
+        (metrics.write_adaptation_csv, result.adapt_events),
+    )
+    for name, (write, rows) in zip(OUTPUT_FILES[1:], derived, strict=True):
+        with open(os.path.join(out_dir, name + ".part"), "w", newline="", encoding="utf-8") as fh:
+            write(rows, fh)
+    streamed = isinstance(result.schedule, sg.TraceFile)
+    for name in OUTPUT_FILES if streamed else OUTPUT_FILES[1:]:
+        path = os.path.join(out_dir, name)
+        os.replace(path + ".part", path)
 
 
 # -- scripted adaptation scenario ---------------------------------------------

@@ -95,28 +95,31 @@ def aggregate(
 ) -> list[TimeWindowRow]:
     """Bucket terminations into time windows of ``tw_ms``.
 
-    ``samples`` supplies (time, rt_est, class) change points in time order:
-    window k, which ends at ``k * tw_ms``, reports the last one stamped at
-    or before its end, and (0.0, "-") before the first; of change points
-    that share an instant, the later one in ``samples`` wins.  ``arrivals``
-    supplies the spawn timestamps for the cumulative arrival counter.
-    Empty buckets keep counters at zero and carry the previous commit rate
-    forward.  The order of ``events`` does not matter.  A record stamped
-    before time 0 raises ValueError.
+    Window k ends at ``k * tw_ms`` (the float product) and holds what is
+    stamped before its end and not before the previous end, so an event stamped
+    exactly on a window end counts in the next window.  It reports the last
+    ``samples`` change point (time, rt_est, class) stamped at or before its
+    end, and (0.0, "-") before the first; of change points that share an
+    instant, the later one in ``samples`` wins.  ``arrivals``, in time order,
+    feed the cumulative arrival counter.  Empty windows keep counters at zero
+    and carry the previous commit rate forward.  ``events`` is read once, in
+    any order; a record stamped before time 0 raises ValueError.
     """
-    events = list(events)
-    if not events:
-        return []
-    # int(termination_ms) is the record's integer stamp (its time_ms view)
-    stamps = [int(e.termination_ms) for e in events]
-    if min(stamps) < 0:
-        raise ValueError(f"termination stamped at {min(stamps)} ms, before time 0")
-    n_buckets = int(max(stamps) // tw_ms) + 1
-    committed = [0] * n_buckets
-    aborted = [0] * n_buckets
-    reclass = [0] * n_buckets
-    for ev, stamp in zip(events, stamps):
+    committed: list[int] = []  # per window, grown as the records reach it
+    aborted: list[int] = []
+    reclass: list[int] = []
+    for ev in events:
+        stamp = int(ev.termination_ms)  # the record's integer stamp (its time_ms view)
+        if stamp < 0:
+            raise ValueError(f"termination stamped at {stamp} ms, before time 0")
         bucket = int(stamp // tw_ms)
+        if stamp >= (bucket + 1) * tw_ms:  # the product rounded down onto the stamp
+            bucket += 1
+        if bucket >= len(committed):
+            grow = [0] * (bucket + 1 - len(committed))
+            committed += grow
+            aborted += grow
+            reclass += grow
         if ev.outcome == "commit":
             committed[bucket] += 1
         else:
@@ -125,7 +128,7 @@ def aggregate(
                 reclass[bucket] += 1
 
     sample_list = samples or ()
-    arrival_list = sorted(arrivals) if arrivals else []
+    arrival_list = arrivals or ()
     rows: list[TimeWindowRow] = []
     cr_prev = 1.0
     cr_eff_prev = 1.0
@@ -133,15 +136,13 @@ def aggregate(
     s_idx = a_idx = 0
     rt_est, cls = 0.0, "-"
     arrivals_cum = 0
-    for bucket in range(n_buckets):
+    for bucket in range(len(committed)):
         end = (bucket + 1) * tw_ms
         commits_cum += committed[bucket]
         aborts_cum += aborted[bucket]
         terminated = committed[bucket] + aborted[bucket]
         cr = compute_cr(committed[bucket], terminated, reclass[bucket], cr_prev)
-        cr_eff = (
-            compute_cr_eff(committed[bucket], terminated) if terminated else cr_eff_prev
-        )
+        cr_eff = compute_cr_eff(committed[bucket], terminated) if terminated else cr_eff_prev
         cr_prev, cr_eff_prev = cr, cr_eff
         while s_idx < len(sample_list) and sample_list[s_idx][0] <= end:
             _, rt_est, cls = sample_list[s_idx]

@@ -132,6 +132,48 @@ def test_aggregate_samples_and_arrivals():
     assert rows[0].rt_est == 0.0 and rows[0].current_class == "O"
 
 
+def test_a_termination_stamped_on_a_window_end_counts_in_the_next_window():
+    # 10 * 30.3 rounds to 303.0, but 303 // 30.3 is 9.0: the commit at 303
+    # was counted in the window that ends at 303, unlike the arrival at 303.
+    rows = aggregate([term(1, 302), term(2, 303)], 30.3, arrivals=[302.0, 303.0])
+    assert [(r.time_ms, r.arrivals_cum, r.commits_cum) for r in rows[-2:]] == [
+        (303, 1, 1), (333, 2, 2)
+    ]
+
+
+def _window_of(stamp, tw_ms):
+    """The first k with stamp < k * tw_ms, by counting."""
+    k = 1
+    while not stamp < k * tw_ms:
+        k += 1
+    return k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    tw_ms=st.integers(11, 3000).filter(lambda n: n % 10).map(lambda n: n / 10),
+    ends=st.lists(st.integers(1, 150), min_size=1, max_size=20),
+    offsets=st.lists(st.sampled_from([-1, 0, 1]), min_size=20, max_size=20),
+    stamps=st.lists(st.integers(0, 5000), max_size=10),
+)
+def test_aggregate_places_each_stamp_in_the_first_window_that_ends_after_it(
+    tw_ms, ends, offsets, stamps
+):
+    # stamps on and next to the rounded window ends k * tw_ms, and anywhere
+    stamps = stamps + [max(round(k * tw_ms) + d, 0) for k, d in zip(ends, offsets)]
+    events = [
+        term(i, stamp) if i % 2 else term(i, stamp, outcome="abort", reason="validation")
+        for i, stamp in enumerate(stamps)
+    ]
+    windows = [_window_of(stamp, tw_ms) for stamp in stamps]
+    rows = aggregate(events, tw_ms)
+    assert len(rows) == max(windows)
+    for k, row in enumerate(rows, start=1):
+        assert row.time_ms == int(k * tw_ms)
+        assert row.commits_cum == sum(1 for i, w in enumerate(windows) if w <= k and i % 2)
+        assert row.aborts_cum == sum(1 for i, w in enumerate(windows) if w <= k and not i % 2)
+
+
 def test_summarize_degree_of_concurrency():
     events = [
         term(1, 100, response=400, service=400),

@@ -5,19 +5,21 @@ and returns an ``sg.TraceFile`` as its schedule.  The same run without one
 keeps the engine's whole trace in a list, which is the oracle here: the
 streamed file must hold exactly the bytes ``write_trace_csv`` writes for
 that list, and reading it back must give the list's events.  A run that
-fails leaves the files already in its ``out_dir`` as they were.
+fails, while it replays or while it writes its CSVs, leaves the files
+already in its ``out_dir`` as they were.
 """
 
+import errno
 import io
 import os
 from pathlib import Path
 
 import pytest
 
-from adaptivecc import cli, harness
+from adaptivecc import cli, harness, metrics
 from adaptivecc.harness import ExperimentRunner, overload_adaptation_scenario, run_experiment
 from adaptivecc.sg import TraceFile, trace_rows, write_trace_csv
-from test_golden import CONFIGS
+from test_golden import CONFIGS, EXPERIMENT
 
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUTS = ("trace.csv", "terminations.csv", "timeseries.csv", "summary.csv", "adaptation.csv")
@@ -111,3 +113,30 @@ def test_a_failed_run_leaves_out_dir_as_it_was(tmp_path, monkeypatch):
         runner.run(str(tmp_path))
     assert len(listed) == len(OUTPUTS) + 1  # the trace was streaming into its own file
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "writer",
+    ["write_terminations_csv", "write_timeseries_csv", "write_summary_csv",
+     "write_adaptation_csv"],
+)
+def test_a_failed_csv_write_leaves_out_dir_as_it_was(writer, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    profile, adapt_config, kwargs = build(EXPERIMENT)
+    run_experiment(profile, adapt_config, str(out), **kwargs)  # a previous run, seed 7
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == sorted(OUTPUTS)
+
+    def full_disk(rows, fh):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(metrics, writer, full_disk)
+    profile, adapt_config, kwargs = build(EXPERIMENT, seed="8")
+    with pytest.raises(OSError, match="No space left"):
+        run_experiment(profile, adapt_config, str(out), **kwargs)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before  # no part left
+
+    config = tmp_path / "seed8.conf"
+    config.write_text(EXPERIMENT + f"seed = 8\nout_dir = {out}\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
