@@ -238,11 +238,10 @@ class TerminationRecord(NamedTuple):
         return min(int(self.service_ms), self.response_time_ms)
 
 
-def _first_error(
-    call: Callable[[Any], object], args: Iterable[Any], error: Optional[Exception] = None
-) -> Optional[Exception]:
+def _first_error(call: Callable[[Any], object], args: Iterable[Any]) -> Optional[Exception]:
     """Call ``call(arg)`` for each of ``args`` in order, also past one that
-    raises; return ``error`` if one is given, else the first error raised."""
+    raises; return the first error raised, if any."""
+    error = None
     for arg in args:
         try:
             call(arg)
@@ -538,7 +537,12 @@ class Engine:
         # A raising continuation or sink stops neither the other grants nor
         # the other sinks; the first error surfaces once all have run.
         error = _first_error(self._complete_grant, grants)
-        error = _first_error(lambda sink: sink(record), self.termination_sinks, error)
+        for sink in self.termination_sinks:
+            try:
+                sink(record)
+            except Exception as exc:
+                if error is None:
+                    error = exc
         if error is not None:
             raise error
 

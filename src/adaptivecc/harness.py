@@ -43,16 +43,20 @@ window k closes at exactly ``k * tw_ms``, where ``metrics.aggregate`` ends
 it.
 
 With an ``out_dir``, a run streams its trace: an arrival that finds at
-least ``TRACE_CHUNK_ROWS`` rows in the engine's trace list writes them in
-one ``writerows`` call and clears the list, and the rows left when the
-replay ends are written after it.  The engine still adds each row with one
-list append, and the trace costs one chunk of memory, not one row per event
-of the run.  Without an ``out_dir`` the whole trace stays in the engine's
-list.  Every file a run writes goes to a part file first: the rows to
-``trace.csv.part``, then ``write_outputs`` writes the four CSVs derived
-from the termination records, which stay in memory, to their own parts,
-and only then replaces each of the five names by its part.  A run that
-fails before that removes every part, so the files already in ``out_dir``
+least ``TRACE_CHUNK_ROWS`` rows in the engine's trace list hands them to
+the run's ``sg.TraceWriter`` and clears the list, and the rows left when
+the replay ends are written after it.  The writer formats each row as one
+line and writes them in batches of ``sg.BATCH_LINES`` lines, one ``write``
+call per batch; so do the termination and timeseries writers (see the
+``sg`` module docstring for what they rely on).  The engine still adds
+each row with one list append, and the trace costs one chunk of memory,
+not one row per event of the run.  Without an ``out_dir`` the whole trace
+stays in the engine's list.  Every file a run writes goes to a part file
+first: the rows to ``trace.csv.part``, then ``write_outputs`` writes the
+four CSVs derived from the termination records, which stay in memory, to
+their own parts, and only then replaces each of the five names by its
+part.  ``write_outputs`` removes its four parts when it fails, and a run
+that fails removes the trace's part, so the files already in ``out_dir``
 stay as they were.
 
 A replay runs with the cyclic garbage collector paused and restores the
@@ -193,25 +197,28 @@ def tpcc_store(si_only: bool = False) -> Store:
 
 
 # TPC-C style transaction mix: one row per deck transaction with its count
-# per 100-transaction deck and its accesses, whose deltas are drawn from the
-# rng.  Accesses without a drawn delta are shared constants.
+# per 100-transaction deck, its accesses, whose deltas are drawn from the
+# rng, and whether it is read-only (no access carries a delta).  Accesses
+# without a drawn delta are shared constants.
 _CUSTOMER, _CREDIT, _BALANCE, _STOCK = map(
     Access, ("Customer", "CustomerCredit", "CustomerBalance", "StockQuantity")
 )
 _CREDIT_BUMP = Access("CustomerCredit", delta=1)
-_DECK: tuple[tuple[str, int, Callable[[random.Random], tuple[Access, ...]]], ...] = (
+_DECK: tuple[tuple[str, int, Callable[[random.Random], tuple[Access, ...]], bool], ...] = (
     ("new_order", 42, lambda rng: (
-        _CUSTOMER, _CREDIT, _new(Access, ("StockQuantity", -rng.randint(1, 10))))),
+        _CUSTOMER, _CREDIT, _new(Access, ("StockQuantity", -rng.randint(1, 10)))), False),
     ("payment", 42, lambda rng: (  # one amount leaves the balance for both YTDs
         _CUSTOMER, _new(Access, ("CustomerBalance", -(amount := rng.randint(1, 100)))),
-        _new(Access, ("WarehouseYTD", amount)), _new(Access, ("DistrictYTD", amount)))),
+        _new(Access, ("WarehouseYTD", amount)), _new(Access, ("DistrictYTD", amount))), False),
     ("delivery", 4, lambda rng: (
-        _CUSTOMER, _new(Access, ("CustomerBalance", rng.randint(1, 50))))),
-    ("credit_check", 4, lambda rng: (_CUSTOMER, _CREDIT_BUMP, _BALANCE)),
-    ("update_stock_level", 4, lambda rng: (_new(Access, ("StockQuantity", rng.randint(10, 100))),)),
-    ("read_stock_level", 4, lambda rng: (_STOCK,)),
+        _CUSTOMER, _new(Access, ("CustomerBalance", rng.randint(1, 50)))), False),
+    ("credit_check", 4, lambda rng: (_CUSTOMER, _CREDIT_BUMP, _BALANCE), False),
+    ("update_stock_level", 4, lambda rng: (
+        _new(Access, ("StockQuantity", rng.randint(10, 100))),), False),
+    ("read_stock_level", 4, lambda rng: (_STOCK,), True),
 )
-DECK_MIX = tuple((name, count) for name, count, _ in _DECK)
+DECK_MIX = tuple((name, count) for name, count, _, _ in _DECK)
+_DECK_ROWS = [row for row in _DECK for _ in range(row[1])]  # one per deck transaction
 
 
 def tpcc_deck(rng: random.Random) -> list[TxnTemplate]:
@@ -219,12 +226,11 @@ def tpcc_deck(rng: random.Random) -> list[TxnTemplate]:
     42/42/4/4/4/4 new-order/payment/delivery/credit-check/update-stock/
     read-stock transactions; read_stock_level, the one without an update,
     is read-only."""
-    rows = [row for row in _DECK for _ in range(row[1])]
+    rows = _DECK_ROWS.copy()
     rng.shuffle(rows)
-    drawn = [(name, accesses(rng)) for name, _, accesses in rows]
     return [
-        _new(TxnTemplate, (name, acc, all([delta is None for _, delta in acc])))
-        for name, acc in drawn
+        _new(TxnTemplate, (name, accesses(rng), read_only))
+        for name, _, accesses, read_only in rows
     ]
 
 
@@ -405,7 +411,7 @@ class ExperimentRunner:
                 self._watched = adaptable[0]
         self.arrivals: list[float] = []  # the plan's arrival times, once the run has drawn them
         self._escrow_items: set[str] = set()
-        self._trace_out: Any = None  # the trace file's writer while a run streams to it
+        self._trace_out: Optional[sg.TraceWriter] = None  # while a run streams its trace
         self._trace_rows = 0  # rows written to it so far
         self._ran = False
 
@@ -544,15 +550,14 @@ class ExperimentRunner:
         fh = open(trace_path + ".part", "w", newline="", encoding="utf-8")
         try:
             with fh:
-                self._trace_out = sg.trace_writer(fh)
+                self._trace_out = sg.TraceWriter(fh)
                 self.scheduler.run(rows, self._start)
                 self._drain_trace()
             result = self._result(sg.TraceFile(trace_path, self._trace_rows), out_dir)
             write_outputs(result, out_dir)  # by its global name: bench/spans.py wraps it
         except BaseException:
-            for name in OUTPUT_FILES:
-                with contextlib.suppress(OSError):  # the run's own error is the one to see
-                    os.remove(os.path.join(out_dir, name + ".part"))
+            with contextlib.suppress(OSError):  # the run's own error is the one to see
+                os.remove(trace_path + ".part")  # write_outputs removes its own parts
             raise
         return result
 
@@ -601,20 +606,29 @@ def write_outputs(result: ExperimentResult, out_dir: str) -> None:
     """Land a run's files in ``out_dir``: write the four CSVs derived from the
     records to ``<name>.part``, then replace each name by its part, and
     ``trace.csv`` by the part the run streamed when ``result.schedule`` is an
-    ``sg.TraceFile``.  A writer that raises leaves its parts; a run removes them."""
+    ``sg.TraceFile``.  When a writer or a replace raises, the four derived
+    parts are removed before the error propagates; the streamed trace's part
+    is its run's to remove."""
     derived = (  # the writers of OUTPUT_FILES[1:], in its order
         (metrics.write_terminations_csv, result.events),
         (metrics.write_timeseries_csv, result.timeseries),
         (metrics.write_summary_csv, result.summary),
         (metrics.write_adaptation_csv, result.adapt_events),
     )
-    for name, (write, rows) in zip(OUTPUT_FILES[1:], derived, strict=True):
-        with open(os.path.join(out_dir, name + ".part"), "w", newline="", encoding="utf-8") as fh:
-            write(rows, fh)
-    streamed = isinstance(result.schedule, sg.TraceFile)
-    for name in OUTPUT_FILES if streamed else OUTPUT_FILES[1:]:
-        path = os.path.join(out_dir, name)
-        os.replace(path + ".part", path)
+    try:
+        for name, (write, rows) in zip(OUTPUT_FILES[1:], derived, strict=True):
+            part = os.path.join(out_dir, name + ".part")
+            with open(part, "w", newline="", encoding="utf-8") as fh:
+                write(rows, fh)
+        streamed = isinstance(result.schedule, sg.TraceFile)
+        for name in OUTPUT_FILES if streamed else OUTPUT_FILES[1:]:
+            path = os.path.join(out_dir, name)
+            os.replace(path + ".part", path)
+    except BaseException:
+        for name in OUTPUT_FILES[1:]:
+            with contextlib.suppress(OSError):  # the writer's own error is the one to see
+                os.remove(os.path.join(out_dir, name + ".part"))
+        raise
 
 
 # -- scripted adaptation scenario ---------------------------------------------

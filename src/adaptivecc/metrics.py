@@ -7,6 +7,13 @@ concurrency (summed service time of committed transactions over elapsed
 time; values above 1 mean useful parallelism), and abort rates split by
 reason.  All CSV timestamps are integer milliseconds; numbers always use a
 ``.`` decimal separator.
+
+``write_terminations_csv`` and ``write_timeseries_csv`` format each row as
+one line and write the lines in batches (``sg.write_lines``), byte for
+byte as ``csv.writer`` would, under the contract the ``sg`` module
+docstring states.  A terminations ``items`` cell is built and quoted once
+per distinct ``items`` tuple, which the engine shares among records with
+the same read set; a timeseries ``current_class`` cell once per value.
 """
 
 from __future__ import annotations
@@ -14,10 +21,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from statistics import fmean, pstdev
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .adaptation import AdaptEvent, compute_cr, compute_cr_eff
 from .engine import AbortReason, TerminationRecord
+from .sg import CsvCells, csv_cell, write_lines
 from .store import CCClass
 
 # bound once: see the engine module docstring
@@ -236,24 +244,28 @@ def _parse_items(cell: str) -> tuple[tuple[str, CCClass], ...]:
 
 
 def write_terminations_csv(events: Iterable[TerminationRecord], outfile: TextIO) -> None:
-    # One loop unpacks each record and streams its row, with the integer
-    # views (time_ms, response_time_ms and service_time_ms) computed inline:
-    # no property call per row, and no list of all rows.  _value_ is an enum
-    # member's value, read without the .value property.
-    writer = csv.writer(outfile)
-    writer.writerow(TERMINATION_COLUMNS)
-    writer.writerows(
-        (
-            txn_id,
-            int(termination),
-            outcome,
-            reason._value_ if reason else "",
-            response := int(termination - arrival),
-            min(int(service), response),
-            ";".join([f"{item}@{cls._value_}" for item, cls in items]),
+    outfile.write(",".join(TERMINATION_COLUMNS) + "\r\n")
+    write_lines(outfile, _termination_lines(events))
+
+
+def _termination_lines(events: Iterable[TerminationRecord]) -> Iterator[str]:
+    # One loop unpacks each record, with the integer views (time_ms,
+    # response_time_ms and service_time_ms) computed inline: no property call
+    # per row.  _value_ is an enum member's value, read without the .value
+    # property.  The items cell is keyed on the tuple's identity, not its
+    # value: hashing the value would hash each CCClass through a Python-level
+    # __hash__.  The cache holds each tuple, so no key is an id reused.
+    cells: dict[int, tuple[tuple[tuple[str, CCClass], ...], str]] = {}
+    for txn_id, outcome, reason, arrival, _, _, termination, items, _, service in events:
+        entry = cells.get(id(items))
+        if entry is None:
+            cell = ";".join([f"{item}@{cls._value_}" for item, cls in items])
+            entry = cells[id(items)] = (items, csv_cell(cell))
+        response = int(termination - arrival)
+        yield (
+            f"{txn_id},{int(termination)},{outcome},{reason._value_ if reason else ''},"
+            f"{response},{min(int(service), response)},{entry[1]}\r\n"
         )
-        for txn_id, outcome, reason, arrival, _, _, termination, items, _, service in events
-    )
 
 
 def read_terminations_csv(infile: TextIO) -> list[TerminationRecord]:
@@ -305,21 +317,13 @@ def read_terminations_csv(infile: TextIO) -> list[TerminationRecord]:
 
 
 def write_timeseries_csv(rows: Iterable[TimeWindowRow], outfile: TextIO) -> None:
-    writer = csv.writer(outfile)
-    writer.writerow(TIMESERIES_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.time_ms,
-                row.arrivals_cum,
-                row.commits_cum,
-                row.aborts_cum,
-                f"{row.cr:.6f}",
-                f"{row.cr_eff:.6f}",
-                f"{row.rt_est:.3f}",
-                row.current_class,
-            ]
-        )
+    outfile.write(",".join(TIMESERIES_COLUMNS) + "\r\n")
+    classes = CsvCells()
+    write_lines(outfile, (
+        f"{row.time_ms},{row.arrivals_cum},{row.commits_cum},{row.aborts_cum},"
+        f"{row.cr:.6f},{row.cr_eff:.6f},{row.rt_est:.3f},{classes[row.current_class]}\r\n"
+        for row in rows
+    ))
 
 
 def write_summary_csv(summary: Summary, outfile: TextIO) -> None:

@@ -28,17 +28,35 @@ over the transactions that have out-edges and searches for the cycle to
 report only when there is one.  ``ScheduleEvent`` and ``Edge`` are named
 tuples and compare equal to the plain tuples of their fields.
 
-``trace_writer`` writes the header of a trace CSV and takes its rows in as
-many chunks as the writer likes, which is how a run streams its trace;
-``TraceFile`` reads such a file back, one event at a time, each time it is
-iterated.
+A ``TraceWriter`` writes the header of a trace CSV and takes the engine's
+rows in as many chunks as its caller likes, which is how a run streams its
+trace; ``TraceFile`` reads such a file back, one event at a time, each time
+it is iterated.  ``write_trace_csv`` writes any rows the ``csv`` module
+accepts, through ``csv.writer``.
+
+The run's CSV writers (``TraceWriter`` here, the terminations and
+timeseries writers in ``metrics``) format each row as one f-string line
+rather than through ``csv.writer``, and still write every byte it would:
+cells joined by ``,``, each line ended by ``\r\n``.  They rely on what
+they are given: integers and numbers they format themselves, and engine
+cells that never need quoting (ops, ``v<n>@<X>`` tags, ``P``, abort
+reasons, outcomes).  A cell that may hold a ``,``, ``"``, ``\r`` or
+``\n`` (an item id, a terminations ``items`` cell, a timeseries class)
+goes through ``csv_cell`` once per distinct value, so the ``csv`` module
+itself quotes it, and the writer caches the result.  A cache lives as long
+as its writer and holds one entry per item id, shared ``items`` tuple or
+class, not one per row.  ``write_lines`` writes the lines in joined
+batches of ``BATCH_LINES``, one ``write`` call per batch: a few hundred
+times fewer calls than one per row, while a batch holds little memory.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 from .store import CCClass
 
@@ -246,17 +264,70 @@ def _first_cycle(succs: dict[int, list[int]]) -> list[int]:
     raise AssertionError("a graph the Kahn pass left nodes of has a cycle")
 
 
-def trace_writer(outfile: TextIO) -> Any:
-    """A ``csv.writer`` on ``outfile`` that has written the trace header; each
-    ``writerows`` call appends events, so a trace can be written in chunks."""
-    writer = csv.writer(outfile)
-    writer.writerow(TRACE_COLUMNS)
-    return writer
+BATCH_LINES = 256  # lines a writer joins into one write call
 
 
-def write_trace_csv(events: Iterable[ScheduleEvent], outfile: TextIO) -> None:
-    """Write events as given; ``time_ms`` is already an integer stamp."""
-    trace_writer(outfile).writerows(events)
+def csv_cell(cell: str) -> str:
+    """``cell`` as ``csv.writer`` writes it in a row of several cells."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((cell, ""))  # never a lone empty cell, which is quoted
+    return buffer.getvalue()[:-3]  # less the "," and "\r\n"
+
+
+class CsvCells(dict):
+    """str cell -> ``csv_cell(cell)``, computed when first looked up."""
+
+    __slots__ = ()
+
+    def __missing__(self, cell: str) -> str:
+        quoted = self[cell] = csv_cell(cell)
+        return quoted
+
+
+def write_lines(outfile: TextIO, lines: Iterable[str]) -> None:
+    """Write ``lines``, each ending in ``\r\n``, in joined batches of
+    ``BATCH_LINES``: one ``outfile.write`` call per batch."""
+    lines = iter(lines)
+    write = outfile.write
+    while batch := "".join(islice(lines, BATCH_LINES)):
+        write(batch)
+
+
+_TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\r\n"
+
+
+class TraceWriter:
+    """A trace CSV being written: the header at once, then the engine's rows
+    in as many ``writerows`` calls as the caller likes.
+
+    Each row is ``(int time_ms, int txn_id, op, item, detail)`` as the
+    engine makes it; the item cell is quoted through the writer's
+    ``CsvCells``, and every other cell is written as it is (see the module
+    docstring).  The bytes are those ``write_trace_csv`` writes for the same
+    rows.
+    """
+
+    __slots__ = ("_outfile", "_items")
+
+    def __init__(self, outfile: TextIO) -> None:
+        self._outfile = outfile
+        self._items = CsvCells()
+        outfile.write(_TRACE_HEADER)
+
+    def writerows(self, events: Iterable[Sequence]) -> None:
+        items = self._items
+        write_lines(self._outfile, (
+            f"{time},{txn},{op},{items[item]},{detail}\r\n"
+            for time, txn, op, item, detail in events
+        ))
+
+
+def write_trace_csv(events: Iterable[Sequence], outfile: TextIO) -> None:
+    """Write a trace CSV of any rows ``csv.writer`` accepts, as it writes
+    them: the header, then each row; ``time_ms`` is already an integer stamp
+    in an engine trace."""
+    outfile.write(_TRACE_HEADER)
+    csv.writer(outfile).writerows(events)
 
 
 def trace_rows(infile: TextIO) -> Iterator[list[str]]:

@@ -15,6 +15,15 @@ queued event due at the same time, and arrivals due at the same time run in
 row order.  A run always goes on until the arrivals and the heap are both
 used up.
 
+A session step due strictly before the heap's head and the next arrival
+is taken in place: the loop moves ``now_ms`` to it and sends into the same
+session again, without a push and a pop.  That is the entry the heap would
+hand out next, since every queued entry and the next arrival are due later
+and any entry the step itself queued (a ``resume``, a ``call_at``) is in
+the heap when the check runs.  A step due at the same time as a queued
+entry or the next arrival ties, and goes through the heap, whose sequence
+numbers order the tie as before.
+
 Events run in (time, insertion order) order, so identical inputs replay
 identically.  The clock is virtual only: ``now_ms`` jumps to each event's
 due time, and a run never waits on the wall clock.
@@ -78,9 +87,20 @@ class Scheduler:
             elif value is _CALL:
                 target()
                 continue
-            try:
-                delay = target.send(value)
-            except StopIteration:
-                continue
-            if delay is not None:
-                push(queue, (when + delay if delay > 0 else when, next(seq), target, None))
+            while True:
+                try:
+                    delay = target.send(value)
+                except StopIteration:
+                    break
+                if delay is None:
+                    break
+                if delay > 0:
+                    when += delay
+                # A step due strictly before the heap head and the next
+                # arrival is what the heap would hand out next: take it now.
+                if (not queue or when < queue[0][0]) and (arrival is None or when < arrival[0]):
+                    self.now_ms = when
+                    value = None
+                    continue
+                push(queue, (when, next(seq), target, None))
+                break

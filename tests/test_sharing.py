@@ -32,8 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # 1844 when every row and record held its own copy of each cell, 1296 with
 # the cells shared.
 RETAINED_BYTES_PER_TXN = 1500
-# The same replay with an out_dir, its trace streamed to trace.csv: 282
-# bytes retained and a 324-byte peak per txn, against 1290 and 1294 without
+# The same replay with an out_dir, its trace streamed to trace.csv: 269
+# bytes retained and a 312-byte peak per txn, against 1290 and 1294 without
 # an out_dir.  What it keeps is the termination records and the arrival
 # times.  The plan's rows are drawn as the replay reaches them, so the peak
 # adds a trace chunk and the transactions in flight, not a row per txn: it

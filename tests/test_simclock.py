@@ -3,8 +3,11 @@
 ``OracleScheduler`` is that loop: every event is a callback on one heap,
 every planned arrival is pushed up front, and a session is stepped by a
 callback that sends into it and schedules its next step.  The scheduler
-under test steps sessions straight off its heap and takes its arrivals as
-time-sorted rows; both must run the same program in the same order.
+under test steps sessions straight off its heap, takes a step due before
+everything else in place, and takes its arrivals as time-sorted rows; both
+must run the same program in the same order.  The generated programs make
+steps tie with queued callbacks, with arrivals and with resumes that a
+step itself issues.
 """
 
 import heapq
@@ -55,13 +58,20 @@ class Program:
         self.log = []
         self.parked = set()
 
-    def session(self, clock, index, steps):
+    def session(self, clock, wake, index, steps):
         self.log.append((clock(), f"s{index} start"))
         for k, step in enumerate(steps):
             if step == PARK:
                 self.parked.add(index)
                 value = yield None
                 self.log.append((clock(), f"s{index}.{k} resumed by {value}"))
+            elif isinstance(step, tuple):  # ("wake", j, delay): resume session j, then wait
+                _, j, delay = step
+                if j in self.parked:
+                    self.parked.discard(j)
+                    wake(j, f"s{index}.{k}")
+                yield delay
+                self.log.append((clock(), f"s{index}.{k} woke s{j}, after {delay}"))
             else:
                 yield step
                 self.log.append((clock(), f"s{index}.{k} after {step}"))
@@ -89,7 +99,7 @@ class Program:
                 loop.call_later(delay, partial(advance, index, None))
 
         def spawn(index, steps):
-            sessions[index] = self.session(clock, index, steps)
+            sessions[index] = self.session(clock, wake, index, steps)
             advance(index, None)
 
         def wake(index, value):
@@ -111,7 +121,7 @@ class Program:
 
         def start(row):
             _, index, steps = row
-            sessions[index] = self.session(clock, index, steps)
+            sessions[index] = self.session(clock, wake, index, steps)
             return sessions[index]
 
         def wake(index, value):
@@ -125,10 +135,13 @@ class Program:
         return self.log
 
 
-# Few distinct times and delays, so that arrivals, steps and callbacks collide.
+# Few distinct times and delays, so that arrivals, steps and callbacks collide:
+# a step is often due exactly at a queued callback's or an arrival's time, or
+# at its own (a zero delay), and a step may resume a parked session.
 times = st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0, 4.0])
 delays = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
-steps = st.lists(st.one_of(delays, st.just(PARK)), max_size=5)
+wakes = st.tuples(st.just("wake"), st.integers(0, 7), delays)
+steps = st.lists(st.one_of(delays, st.just(PARK), wakes), max_size=5)
 arrivals = st.lists(st.tuples(times, steps), max_size=8)
 actions = st.one_of(
     st.just(("noop",)),
@@ -149,6 +162,45 @@ def noted(seen, label, *delays):
     seen.append(label)
     for delay in delays:
         yield delay
+
+
+def logged(loop, seen, label, *delays):
+    """A session that logs ``(now, label)`` at its start and after each step."""
+    seen.append((loop.now_ms, label))
+    for k, delay in enumerate(delays, start=1):
+        yield delay
+        seen.append((loop.now_ms, f"{label}.{k}"))
+
+
+def test_an_arrival_due_with_a_step_runs_first():
+    loop = Scheduler()
+    seen = []
+    loop.run([(0.0, "s", 1.0), (1.0, "arrival")], lambda row: logged(loop, seen, *row[1:]))
+    assert seen == [(0.0, "s"), (1.0, "arrival"), (1.0, "s.1")]
+
+
+def test_a_window_boundary_due_with_a_step_runs_first():
+    # A TIME_WINDOW controller's boundary re-arms itself for the next window
+    # end, as the runner's does; the session's steps land on two window ends.
+    loop = Scheduler()
+    seen = []
+
+    def boundary(k):
+        seen.append((loop.now_ms, f"window {k}"))
+        if k < 3:
+            loop.call_at((k + 1) * 100.0, partial(boundary, k + 1))
+
+    loop.call_at(100.0, partial(boundary, 1))
+    loop.run([(99.5, "s", 0.5, 100.0, 0.0)], lambda row: logged(loop, seen, *row[1:]))
+    assert seen == [
+        (99.5, "s"),
+        (100.0, "window 1"),
+        (100.0, "s.1"),
+        (200.0, "window 2"),
+        (200.0, "s.2"),
+        (200.0, "s.3"),
+        (300.0, "window 3"),
+    ]
 
 
 def test_an_arrival_runs_before_a_queued_event_at_its_time():

@@ -6,7 +6,9 @@ keeps the engine's whole trace in a list, which is the oracle here: the
 streamed file must hold exactly the bytes ``write_trace_csv`` writes for
 that list, and reading it back must give the list's events.  A run that
 fails, while it replays or while it writes its CSVs, leaves the files
-already in its ``out_dir`` as they were.
+already in its ``out_dir`` as they were, and so does a failed direct call
+of ``write_outputs``.  The writers call the file object once per batch of
+lines, not once per row.
 """
 
 import errno
@@ -17,7 +19,12 @@ from pathlib import Path
 import pytest
 
 from adaptivecc import cli, harness, metrics
-from adaptivecc.harness import ExperimentRunner, overload_adaptation_scenario, run_experiment
+from adaptivecc.harness import (
+    ExperimentRunner,
+    overload_adaptation_scenario,
+    run_experiment,
+    write_outputs,
+)
 from adaptivecc.sg import TraceFile, trace_rows, write_trace_csv
 from test_golden import CONFIGS, EXPERIMENT
 
@@ -140,3 +147,55 @@ def test_a_failed_csv_write_leaves_out_dir_as_it_was(writer, tmp_path, monkeypat
     config.write_text(EXPERIMENT + f"seed = 8\nout_dir = {out}\n", encoding="utf-8")
     assert cli.main(["run", "--config", str(config)]) == 2
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "writer",
+    ["write_terminations_csv", "write_timeseries_csv", "write_summary_csv",
+     "write_adaptation_csv"],
+)
+def test_a_failed_direct_write_outputs_leaves_no_part(writer, tmp_path, monkeypatch):
+    profile, adapt_config, kwargs = build(EXPERIMENT)
+    result = run_experiment(profile, adapt_config, **kwargs)  # in memory: nothing streamed
+
+    def full_disk(rows, fh):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(metrics, writer, full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        write_outputs(result, str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
+class CountingFile:
+    """A text file that counts the ``write`` calls made on it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_a_streamed_deck_replay_writes_its_csvs_in_batches(deck_oracle, tmp_path, monkeypatch):
+    (profile, adapt_config, kwargs), _ = deck_oracle
+    files = {}
+
+    def counting_open(path, *args, **kwargs):
+        files[os.path.basename(path)] = opened = CountingFile(open(path, *args, **kwargs))
+        return opened
+
+    monkeypatch.setattr(harness, "open", counting_open, raising=False)
+    result = ExperimentRunner(profile, adapt_config, **kwargs).run(str(tmp_path))
+    assert len(result.schedule) > 50_000 and len(result.events) > 10_000
+    assert files["trace.csv.part"].writes < len(result.schedule) / 100
+    assert files["terminations.csv.part"].writes < len(result.events) / 100
+    assert files["timeseries.csv.part"].writes < len(result.timeseries) / 100
